@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "stalecert/util/levels.hpp"
 #include "stalecert/x509/certificate.hpp"
 
 namespace stalecert::core {
@@ -12,20 +13,31 @@ namespace stalecert::core {
 /// An indexed certificate corpus (the deduplicated CT download). Builds
 /// e2LD and FQDN inverted indexes once so the detectors' joins are O(1)
 /// per event instead of scanning 5B certificates per lookup.
+///
+/// Storage is a short list of immutable, reference-counted levels (the
+/// logarithmic method; merge rule in util::merge_start). Each level holds
+/// one contiguous range of certificates and both inverted indexes over
+/// that range, keyed by global corpus index. A from-scratch build is one
+/// level. appended() shares every level with its source and builds one
+/// more, so an incremental ingest costs O(new certificates) plus amortized
+/// merges. Copies are cheap and share storage; lookups visit each level in
+/// order, so index lists stay ascending.
 class CertificateCorpus {
  public:
   CertificateCorpus() = default;
   explicit CertificateCorpus(std::vector<x509::Certificate> certificates);
-  /// Extension build: copies `base` (certificates AND both inverted
-  /// indexes) and appends `appended`, indexing only the new range. The
-  /// result is identical to rebuilding from the concatenated certificate
-  /// list — the incremental-ingest path (stalecert::feed) relies on that.
-  CertificateCorpus(const CertificateCorpus& base,
-                    std::vector<x509::Certificate> appended);
 
-  [[nodiscard]] std::size_t size() const { return certificates_.size(); }
-  [[nodiscard]] const std::vector<x509::Certificate>& certificates() const {
-    return certificates_;
+  /// This corpus extended by `certificates` at indices size().., sharing
+  /// every existing level. Answers equal a from-scratch build over the
+  /// concatenated certificate list; the incremental-ingest path
+  /// (stalecert::feed) relies on that.
+  [[nodiscard]] CertificateCorpus appended(
+      std::vector<x509::Certificate> certificates) const;
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Every certificate in index order (range-for, size(), operator[]).
+  [[nodiscard]] util::LevelView<x509::Certificate> certificates() const {
+    return {chunks_, size_};
   }
   [[nodiscard]] const x509::Certificate& at(std::size_t index) const;
 
@@ -49,13 +61,21 @@ class CertificateCorpus {
   };
   [[nodiscard]] OverlapStats overlap_stats(const std::string& e2ld) const;
 
- private:
-  /// Indexes certificates_[first..) into both inverted indexes.
-  void index_range(std::size_t first);
+  /// Number of storage levels (1 after a from-scratch build).
+  [[nodiscard]] std::size_t level_count() const { return levels_.size(); }
 
-  std::vector<x509::Certificate> certificates_;
-  std::unordered_map<std::string, std::vector<std::size_t>> e2ld_index_;
-  std::unordered_map<std::string, std::vector<std::size_t>> fqdn_index_;
+ private:
+  struct Level;
+
+  /// Builds the level holding `certificates` at global indices first...
+  [[nodiscard]] static std::shared_ptr<const Level> build_level(
+      std::size_t first, std::vector<x509::Certificate> certificates);
+  /// Re-derives size_ and the certificate chunk table from levels_.
+  void refresh();
+
+  std::vector<std::shared_ptr<const Level>> levels_;
+  std::vector<util::LevelChunk<x509::Certificate>> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// Strips a single leading wildcard label ("*.foo.com" -> "foo.com") for

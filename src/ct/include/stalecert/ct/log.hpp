@@ -70,7 +70,7 @@ class CtLog {
   /// to the one that was saved. Throws LogicError if `index` is not the
   /// next index (archives store entries in order).
   void restore_entry(std::uint64_t index, util::Date timestamp,
-                     const x509::Certificate& cert);
+                     x509::Certificate cert);
 
   [[nodiscard]] std::uint64_t size() const { return tree_.size(); }
   [[nodiscard]] SignedTreeHead sth(util::Date now) const;

@@ -28,14 +28,14 @@ std::optional<SignedCertificateTimestamp> CtLog::submit(
 }
 
 void CtLog::restore_entry(std::uint64_t index, util::Date timestamp,
-                          const x509::Certificate& cert) {
+                          x509::Certificate cert) {
   if (index != entries_.size()) {
     throw LogicError("CtLog::restore_entry: index " + std::to_string(index) +
                      " is not the next index " + std::to_string(entries_.size()));
   }
   const asn1::Bytes der = cert.to_der();
   tree_.append(der);
-  entries_.push_back({index, timestamp, cert});
+  entries_.push_back({index, timestamp, std::move(cert)});
 }
 
 SignedTreeHead CtLog::sth(util::Date now) const { return sth_at(tree_.size(), now); }

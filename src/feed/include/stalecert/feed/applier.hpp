@@ -60,10 +60,13 @@ class DeltaApplier {
   };
 
   /// Validates and applies one delta, returning the successor snapshot
-  /// (also retained as index()). Validation failures throw
-  /// DeltaMismatchError / DeltaSequenceError BEFORE any state changes, so
-  /// the applier keeps serving its current snapshot afterwards.
-  ApplyResult apply(const WorldDelta& delta);
+  /// (also retained as index()). The successor shares every storage level
+  /// of the current snapshot and adds one built from the delta alone.
+  /// Validation failures throw DeltaMismatchError / DeltaSequenceError
+  /// BEFORE any state changes, so the applier keeps serving its current
+  /// snapshot afterwards. Takes the delta by value: its records move into
+  /// the accumulated world.
+  ApplyResult apply(WorldDelta delta);
 
   [[nodiscard]] const std::shared_ptr<const query::StalenessIndex>& index()
       const {
@@ -88,8 +91,8 @@ class DeltaApplier {
   /// construction and after a rebuild.
   void rebuild_state();
   void validate(const WorldDelta& delta) const;
-  /// Folds the delta's records into world_ (runs only after validate()).
-  void commit(const WorldDelta& delta);
+  /// Moves the delta's records into world_ (runs only after validate()).
+  void commit(WorldDelta delta);
   /// Full pipeline re-run over the accumulated world (the fallback path).
   ApplyResult rebuild();
 

@@ -109,7 +109,7 @@ void DeltaApplier::rebuild_state() {
     revocation_keys_.insert(
         issuer_serial_key(entry.authority_key_id, entry.serial));
   }
-  join_stats_ = index_->result().revocations.join_stats;
+  join_stats_ = index_->result().join_stats;
 
   // Registrant-change state: the historical re-registration events, keyed
   // the way by_e2ld(event.domain) keys the join.
@@ -195,7 +195,7 @@ void DeltaApplier::validate(const WorldDelta& delta) const {
   }
 }
 
-DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
+DeltaApplier::ApplyResult DeltaApplier::apply(WorldDelta delta) {
   const obs::StageScope scope(observer_, "feed_apply");
   validate(delta);
   // Validation passed: every typed rejection has been thrown. What follows
@@ -209,8 +209,9 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
 
   // --- CT: continue collect()'s dedup funnel over the delta entries. ---
   struct Pending {
-    x509::Certificate cert;
+    x509::Certificate cert;  // moved into the new corpus level below
     std::string key;
+    bool precert = false;
   };
   std::vector<Pending> pending;
   std::unordered_map<std::string, std::size_t> pending_index;
@@ -229,6 +230,7 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
         if (kept.is_precertificate() &&
             !entry.certificate.is_precertificate()) {
           kept = entry.certificate;  // precert superseded within the delta
+          pending[pit->second].precert = false;
         }
         continue;
       }
@@ -243,7 +245,8 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
         continue;
       }
       pending_index.emplace(key, pending.size());
-      pending.push_back({entry.certificate, std::move(key)});
+      pending.push_back({entry.certificate, std::move(key),
+                         entry.certificate.is_precertificate()});
       ++collect_stats_.after_dedup;
     }
   }
@@ -282,18 +285,19 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
   }
 
   if (needs_rebuild) {
-    commit(delta);
+    commit(std::move(delta));
     return rebuild();
   }
 
-  // --- Extended corpus: base + surviving new certificates. ---
+  // --- Extended corpus: base + surviving new certificates, in one new
+  // level that shares every base level. ---
   std::vector<x509::Certificate> appended;
   appended.reserve(pending.size());
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!dropped[i]) appended.push_back(pending[i].cert);
+    if (!dropped[i]) appended.push_back(std::move(pending[i].cert));
   }
   const std::uint64_t new_certificates = appended.size();
-  core::CertificateCorpus corpus(base_corpus, std::move(appended));
+  core::CertificateCorpus corpus = base_corpus.appended(std::move(appended));
 
   // --- Join 1: revocations. New observations against base certificates;
   // new certificates against ALL observations. The two passes are
@@ -457,8 +461,7 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
   }
   for (auto& p : pending) {
     dedup_.try_emplace(std::move(p.key),
-                       CollectState{.precert = p.cert.is_precertificate(),
-                                    .dropped = false});
+                       CollectState{.precert = p.precert, .dropped = false});
   }
   for (const auto& event : new_rereg) {
     rereg_by_domain_[util::to_lower(event.domain)].push_back(
@@ -469,7 +472,7 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
 
   patch.corpus = std::move(corpus);
   auto next = index_->with_patch(std::move(patch), observer_);
-  commit(delta);
+  commit(std::move(delta));
   index_ = std::move(next);
   ++deltas_applied_;
 
@@ -486,12 +489,13 @@ DeltaApplier::ApplyResult DeltaApplier::apply(const WorldDelta& delta) {
   return result;
 }
 
-void DeltaApplier::commit(const WorldDelta& delta) {
-  for (const auto& log_delta : delta.ct) {
+void DeltaApplier::commit(WorldDelta delta) {
+  for (auto& log_delta : delta.ct) {
     for (auto& log : world_.ct_logs.logs()) {
       if (log.id() != log_delta.log_id) continue;
-      for (const auto& entry : log_delta.entries) {
-        log.restore_entry(entry.index, entry.timestamp, entry.certificate);
+      for (auto& entry : log_delta.entries) {
+        log.restore_entry(entry.index, entry.timestamp,
+                          std::move(entry.certificate));
       }
       break;
     }
@@ -500,10 +504,11 @@ void DeltaApplier::commit(const WorldDelta& delta) {
     world_.revocations.add(entry.authority_key_id, entry.serial,
                            entry.observation);
   }
-  world_.registrations.insert(world_.registrations.end(),
-                              delta.registrations.begin(),
-                              delta.registrations.end());
-  for (const auto& snapshot : delta.adns) world_.adns.add(snapshot);
+  world_.registrations.insert(
+      world_.registrations.end(),
+      std::make_move_iterator(delta.registrations.begin()),
+      std::make_move_iterator(delta.registrations.end()));
+  for (auto& snapshot : delta.adns) world_.adns.add(std::move(snapshot));
   world_.stats = delta.stats;
   world_.meta.end = delta.meta.to_day;
 }

@@ -58,14 +58,14 @@ void FeedRuntime::reload() {
 query::IngestOutcome FeedRuntime::ingest(const query::IngestSource& source) {
   query::IngestOutcome outcome;
   try {
-    const WorldDelta delta =
+    WorldDelta delta =
         source.path.empty()
             ? read_delta_bytes(std::span<const std::uint8_t>(
                   reinterpret_cast<const std::uint8_t*>(source.bytes.data()),
                   source.bytes.size()))
             : read_delta(source.path, observer_);
     const util::MutexLock lock(mutex_);
-    const DeltaApplier::ApplyResult applied = applier_.apply(delta);
+    const DeltaApplier::ApplyResult applied = applier_.apply(std::move(delta));
     outcome.ok = true;
     outcome.status = 200;
     outcome.index = applied.index;

@@ -14,7 +14,8 @@ namespace stalecert::net {
 /// arrive off the wire, take one parsed request at a time. The framing
 /// rules are exactly the serving subset: a request head terminated by
 /// CRLFCRLF and bounded by `max_request_bytes`, bodies sized by
-/// Content-Length only (also bounded), no chunked encoding. One codec per
+/// Content-Length only (bounded like the head, except POST bodies: see
+/// kMaxPostBodyBytes), no chunked encoding. One codec per
 /// connection; take_request() re-arms it for the next keep-alive (possibly
 /// pipelined) request, preserving any bytes already buffered beyond the
 /// current message.
@@ -26,6 +27,14 @@ class Http1RequestCodec {
     kComplete,  // a full request is ready — call take_request()
     kError,     // protocol violation — send error_response() and close
   };
+
+  /// POST bodies may reach max(max_request_bytes, kMaxPostBodyBytes), so
+  /// POST /ingest takes whole .scwd deltas. The largest world_gen writes
+  /// (seed 20230512, 30 days past the horizon): daily deltas 221 KB
+  /// (`small`) and 3.31 MB (`default`), 30-day slices 352 KB and 4.01 MB.
+  /// 16 MiB is 4x the largest. Wider slices (a year of `default` is
+  /// 53.5 MB) go through `?path=` or the feed directory instead.
+  static constexpr std::size_t kMaxPostBodyBytes = std::size_t{16} << 20;
 
   explicit Http1RequestCodec(std::size_t max_request_bytes);
 

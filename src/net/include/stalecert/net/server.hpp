@@ -45,6 +45,8 @@ class HttpServer {
     std::uint16_t port = 0;
     unsigned threads = 4;
     /// Upper bound on one request head; longer heads get 400 + close.
+    /// Bodies share this bound, except POST bodies (see
+    /// Http1RequestCodec::kMaxPostBodyBytes).
     std::size_t max_request_bytes = 64 * 1024;
     /// Slowloris guard: a request begun but not fully received within
     /// this window gets 408 + close. 0 disables.

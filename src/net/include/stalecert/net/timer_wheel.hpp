@@ -59,7 +59,7 @@ class TimerWheel {
   std::chrono::milliseconds tick_;
   std::size_t slots_;
   Clock::time_point epoch_;
-  std::uint64_t cursor_;  // ticks since epoch_ already swept
+  std::uint64_t cursor_;  // ticks since epoch_ fully swept
   std::uint64_t next_id_ = 1;
   std::vector<Slot> wheel_;
   std::unordered_map<std::uint64_t, std::pair<std::size_t, Slot::iterator>>

@@ -1,5 +1,6 @@
 #include "stalecert/net/codec.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "stalecert/util/strings.hpp"
@@ -55,16 +56,20 @@ Http1RequestCodec::State Http1RequestCodec::advance() {
     buffer_.erase(0, head_end + 4);
     scanned_ = 0;
 
-    // Body framing is Content-Length only; bound it like the head so a
-    // client cannot make the server buffer arbitrary bytes.
+    // Body framing is Content-Length only, bounded so a client cannot make
+    // the server buffer arbitrary bytes: POST bodies (uploads such as
+    // .scwd deltas) by kMaxPostBodyBytes, every other body like the head.
     content_length_ = 0;
+    const std::size_t max_body =
+        request_->method == "POST"
+            ? std::max(max_request_bytes_, kMaxPostBodyBytes)
+            : max_request_bytes_;
     if (const auto it = request_->headers.find("content-length");
         it != request_->headers.end()) {
       char* end = nullptr;
       const unsigned long long parsed =
           std::strtoull(it->second.c_str(), &end, 10);
-      if (end == it->second.c_str() || *end != '\0' ||
-          parsed > max_request_bytes_) {
+      if (end == it->second.c_str() || *end != '\0' || parsed > max_body) {
         return fail("bad or oversized content-length\n");
       }
       content_length_ = static_cast<std::size_t>(parsed);

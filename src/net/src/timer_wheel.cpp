@@ -66,7 +66,10 @@ std::size_t TimerWheel::advance(Clock::time_point now) {
       }
     }
   }
-  cursor_ = target;
+  // `now` may fall early in its tick, before deadlines that share it:
+  // leave that tick unswept so the next advance() visits its slot again
+  // instead of a whole revolution later.
+  cursor_ = target - 1;
   if (soonest_ && *soonest_ <= now) soonest_.reset();
   // Fire after the sweep: callbacks may re-enter add()/cancel() freely —
   // including cancelling a sibling entry still waiting in this batch.

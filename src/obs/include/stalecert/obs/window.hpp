@@ -23,15 +23,20 @@ class WindowedCounter {
  public:
   using Clock = std::chrono::steady_clock;
 
+  /// `created` starts the counter's age (see rate_per_second).
   explicit WindowedCounter(std::chrono::seconds horizon = std::chrono::seconds(300),
-                           std::chrono::seconds bucket_width = std::chrono::seconds(5));
+                           std::chrono::seconds bucket_width = std::chrono::seconds(5),
+                           Clock::time_point created = Clock::now());
 
   void add(std::uint64_t n = 1, Clock::time_point now = Clock::now());
 
   /// Events recorded in the trailing `window` (clamped to the horizon).
   [[nodiscard]] std::uint64_t sum(std::chrono::seconds window,
                                   Clock::time_point now = Clock::now()) const;
-  /// sum(window) / window — events per second.
+  /// Events per second over the trailing `window`: sum(window) divided by
+  /// min(window, age), so a counter younger than the window reports its
+  /// rate since creation rather than diluting it over time it did not
+  /// exist. 0 at age 0.
   [[nodiscard]] double rate_per_second(std::chrono::seconds window,
                                        Clock::time_point now = Clock::now()) const;
 
@@ -47,6 +52,7 @@ class WindowedCounter {
 
   std::chrono::seconds horizon_;
   std::chrono::seconds width_;
+  Clock::time_point created_;
   std::vector<Bucket> buckets_;
 };
 

@@ -27,9 +27,11 @@ std::size_t bucket_count_for(std::chrono::seconds horizon,
 }  // namespace
 
 WindowedCounter::WindowedCounter(std::chrono::seconds horizon,
-                                 std::chrono::seconds bucket_width)
+                                 std::chrono::seconds bucket_width,
+                                 Clock::time_point created)
     : horizon_(horizon),
       width_(bucket_width),
+      created_(created),
       buckets_(bucket_count_for(horizon, bucket_width)) {}
 
 std::int64_t WindowedCounter::epoch_of(Clock::time_point now) const {
@@ -72,9 +74,10 @@ std::uint64_t WindowedCounter::sum(std::chrono::seconds window,
 double WindowedCounter::rate_per_second(std::chrono::seconds window,
                                         Clock::time_point now) const {
   const auto span = std::min(window, horizon_);
-  if (span.count() <= 0) return 0.0;
-  return static_cast<double>(sum(span, now)) /
-         static_cast<double>(span.count());
+  const double age = std::chrono::duration<double>(now - created_).count();
+  const double seconds = std::min(static_cast<double>(span.count()), age);
+  if (seconds <= 0.0) return 0.0;
+  return static_cast<double>(sum(span, now)) / seconds;
 }
 
 WindowedHistogram::WindowedHistogram(std::vector<double> upper_bounds,

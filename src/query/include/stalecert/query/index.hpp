@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "stalecert/core/pipeline.hpp"
 #include "stalecert/query/interval_index.hpp"
 #include "stalecert/store/format.hpp"
+#include "stalecert/util/levels.hpp"
 
 namespace stalecert::obs {
 class PipelineObserver;
@@ -69,8 +71,8 @@ struct DomainSummary {
 /// match a from-scratch pipeline run over the extended world.
 struct IndexPatch {
   /// The extended corpus (base certificates in base order, delta
-  /// certificates appended) — built via the CertificateCorpus extension
-  /// constructor so the base inverted indexes are reused.
+  /// certificates appended), from CertificateCorpus::appended, so it
+  /// shares the base corpus's levels.
   core::CertificateCorpus corpus;
   /// Size of the base corpus this patch extends; with_patch() refuses a
   /// patch built against a different base.
@@ -88,6 +90,14 @@ struct IndexPatch {
   util::Date new_end;
 };
 
+/// What a snapshot keeps of the pipeline runs behind it besides its
+/// levels: the cumulative CT and revocation-join funnels. The detector
+/// output itself lives in the levels as StaleRecords.
+struct PipelineFunnels {
+  ct::CollectStats collect_stats;
+  revocation::JoinStats join_stats;
+};
+
 /// Immutable, fully indexed snapshot of one pipeline run, built for
 /// point-lookup serving: hash indexes FQDN -> certificates and SPKI ->
 /// certificates, a sorted interval index over staleness windows for
@@ -99,6 +109,15 @@ struct IndexPatch {
 /// Instances are immutable after construction, so a std::shared_ptr<const
 /// StalenessIndex> can be shared across serving threads and hot-swapped
 /// atomically (see SnapshotCell in service.hpp).
+///
+/// Storage is a short list of immutable, reference-counted levels, like
+/// the corpus it serves (util::merge_start has the merge rule). Each level
+/// indexes one certificate range and one stale-record range, by global
+/// index. A from-scratch build is one level; with_patch() shares every
+/// level of its base and adds one for the delta. Every query decomposes
+/// over levels: index lists concatenate in level order (so they stay
+/// ascending), counts sum, and revocation_status() keeps the earliest
+/// date, then the lowest certificate index.
 class StalenessIndex {
  public:
   /// Builds every index from a finished pipeline run. `meta` carries the
@@ -121,15 +140,13 @@ class StalenessIndex {
       const std::string& path, const ShardScope& scope,
       obs::PipelineObserver* observer = nullptr);
 
-  /// Builds the successor snapshot for one applied delta. Structural
-  /// updates only: base indexes are copied and extended in place — new
-  /// certificates touch only their own SPKI buckets and the two validity
-  /// arrays, new stale records touch only their at-risk domain buckets —
-  /// and the interval index is rebuilt over all windows (records are few
-  /// relative to certificates). The base snapshot is untouched; in-flight
-  /// queries keep their shared_ptr. Reports under the obs stage name
-  /// "query_index_patch". Throws LogicError if the patch was built against
-  /// a different base corpus.
+  /// Builds the successor snapshot for one applied delta. It shares every
+  /// level of this snapshot and adds one level built from the delta's
+  /// certificates and records only, then merges the newest levels per the
+  /// rule; stats() and owned_stats() update from the new level alone. The
+  /// base snapshot is untouched; in-flight queries keep their shared_ptr.
+  /// Reports under the obs stage name "query_index_patch". Throws
+  /// LogicError if the patch was built against a different base corpus.
   [[nodiscard]] std::shared_ptr<const StalenessIndex> with_patch(
       IndexPatch patch, obs::PipelineObserver* observer = nullptr) const;
 
@@ -140,19 +157,21 @@ class StalenessIndex {
   }
 
   [[nodiscard]] const store::ArchiveMeta& meta() const { return meta_; }
-  /// The (merged) pipeline result this snapshot serves — the feed layer
-  /// reads the base detector output through this when building patches.
-  [[nodiscard]] const core::PipelineResult& result() const { return result_; }
+  /// The cumulative funnels of the pipeline run(s) this snapshot serves —
+  /// the feed layer continues them when building patches.
+  [[nodiscard]] const PipelineFunnels& result() const { return funnels_; }
   [[nodiscard]] const core::CertificateCorpus& corpus() const {
-    return result_.corpus;
+    return corpus_;
   }
-  [[nodiscard]] const std::vector<StaleRecord>& stale_records() const {
-    return records_;
+  /// Every stale record in index order (range-for, size(), operator[]).
+  [[nodiscard]] util::LevelView<StaleRecord> stale_records() const {
+    return {record_chunks_, stats_.stale_records};
   }
   [[nodiscard]] const StaleRecord& record(std::uint32_t index) const;
   /// Record indices of one stale class, ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& of_class(
-      core::StaleClass cls) const;
+  [[nodiscard]] std::vector<std::uint32_t> of_class(core::StaleClass cls) const;
+  /// Number of storage levels (1 after a from-scratch build).
+  [[nodiscard]] std::size_t level_count() const { return levels_.size(); }
 
   // --- Point lookups (all O(1) hash probes or O(log n + k)) ---
 
@@ -232,27 +251,31 @@ class StalenessIndex {
   [[nodiscard]] const Stats& owned_stats() const { return owned_stats_; }
 
  private:
-  /// Patch build: copies `base` and folds in one delta's worth of new
-  /// certificates and stale records (see with_patch).
-  StalenessIndex(const StalenessIndex& base, IndexPatch patch,
-                 obs::PipelineObserver* observer);
+  struct Level;
+  struct LevelInput;
 
-  /// True iff this shard owns the certificate (first-name attribution).
-  [[nodiscard]] bool owns_certificate(std::uint32_t cert_index) const;
-  /// Recomputes owned_stats_ from owns_ (identity copy when unsharded).
-  void recompute_owned_stats();
+  /// The one level builder, shared by the from-scratch build, with_patch()
+  /// and merges.
+  [[nodiscard]] std::shared_ptr<const Level> build_level(
+      LevelInput input) const;
+  /// Appends `level`: counts what it adds to stats_ and owned_stats_, then
+  /// merges the newest levels per util::merge_start.
+  void add_level(std::shared_ptr<const Level> level);
+  /// Adds to `stats` what `level` contributes on top of the `older`
+  /// levels, keeping only entities `owns` accepts when it is set.
+  void tally(const Level& level,
+             std::span<const std::shared_ptr<const Level>> older,
+             const std::function<bool(const std::string&)>& owns,
+             Stats& stats) const;
+  /// Re-derives the stale-record chunk table from levels_.
+  void refresh_chunks();
 
-  core::PipelineResult result_;
+  core::CertificateCorpus corpus_;
+  PipelineFunnels funnels_;
   store::ArchiveMeta meta_;
   std::uint64_t patch_generation_ = 0;
-  std::vector<StaleRecord> records_;
-  std::array<std::vector<std::uint32_t>, core::kStaleClassCount> by_class_;
-  std::unordered_map<std::string, std::vector<std::uint32_t>> key_to_certs_;
-  std::unordered_map<std::string, std::vector<std::uint32_t>> domain_to_records_;
-  std::unordered_map<std::string, RevocationStatus> serial_to_revocation_;
-  IntervalIndex staleness_intervals_;       // payload = record index
-  std::vector<std::int64_t> validity_begins_;  // sorted days-since-epoch
-  std::vector<std::int64_t> validity_ends_;
+  std::vector<std::shared_ptr<const Level>> levels_;
+  std::vector<util::LevelChunk<StaleRecord>> record_chunks_;
   Stats stats_;
   std::function<bool(const std::string&)> owns_;  // null when unsharded
   Stats owned_stats_;

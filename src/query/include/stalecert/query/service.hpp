@@ -32,10 +32,15 @@ class SnapshotCell {
     return snapshot_;
   }
 
+  /// The superseded snapshot is released after the lock, so readers never
+  /// wait on the free of whatever it alone still holds.
   void set(std::shared_ptr<const StalenessIndex> snapshot) {
-    const util::MutexLock lock(mutex_);
-    snapshot_ = std::move(snapshot);
-    generation_.fetch_add(1, std::memory_order_relaxed);
+    {
+      const util::MutexLock lock(mutex_);
+      snapshot_.swap(snapshot);
+      generation_.fetch_add(1, std::memory_order_relaxed);
+    }
+    snapshot.reset();
   }
 
   /// Number of successful publishes (0 until the first set()).

@@ -54,75 +54,132 @@ std::vector<std::string> at_risk_domains(const core::CertificateCorpus& corpus,
   return out;
 }
 
+/// One immutable slice of a snapshot: the certificates
+/// [first_cert, end_cert) and the stale records first_record.. with every
+/// index over exactly those, keyed by global index.
+struct StalenessIndex::Level {
+  std::uint32_t first_cert = 0;
+  std::uint32_t end_cert = 0;
+  std::uint32_t first_record = 0;
+  std::vector<StaleRecord> records;
+  std::array<std::vector<std::uint32_t>, core::kStaleClassCount> by_class;
+  std::unordered_map<std::string, std::vector<std::uint32_t>> key_to_certs;
+  std::unordered_map<std::string, std::vector<std::uint32_t>> domain_to_records;
+  std::unordered_map<std::string, RevocationStatus> serial_to_revocation;
+  IntervalIndex staleness_intervals;           // payload = record index
+  std::vector<std::int64_t> validity_begins;   // sorted days-since-epoch
+  std::vector<std::int64_t> validity_ends;
+
+  /// Merge-rule size: certificates plus records.
+  [[nodiscard]] std::size_t size() const {
+    return end_cert - first_cert + records.size();
+  }
+  [[nodiscard]] const StaleRecord& record(std::uint32_t index) const {
+    return records[index - first_record];
+  }
+};
+
+/// What build_level() indexes: a certificate range of corpus_, the stale
+/// records numbered from first_record, and the revocation joins (serial,
+/// status) that arrived with them.
+struct StalenessIndex::LevelInput {
+  std::uint32_t first_cert = 0;
+  std::uint32_t end_cert = 0;
+  std::uint32_t first_record = 0;
+  std::vector<StaleRecord> records;
+  std::vector<std::pair<std::string, RevocationStatus>> revocations;
+
+  /// Appends the class-`cls` records for `stale`, in order.
+  void add_records(core::StaleClass cls,
+                   const std::vector<core::StaleCertificate>& stale) {
+    for (const auto& s : stale) {
+      StaleRecord record;
+      record.cert_index = static_cast<std::uint32_t>(s.corpus_index);
+      record.cls = cls;
+      record.event_date = s.event_date;
+      record.staleness = s.staleness;
+      record.trigger_domain = normalize_domain(s.trigger_domain);
+      record.reason = s.reason;
+      records.push_back(std::move(record));
+    }
+  }
+
+  /// Appends one serial join per revocation match (all reasons).
+  void add_revocations(const core::CertificateCorpus& corpus,
+                       const std::vector<core::StaleCertificate>& revoked) {
+    for (const auto& r : revoked) {
+      RevocationStatus status;
+      status.cert_index = static_cast<std::uint32_t>(r.corpus_index);
+      status.revocation_date = r.event_date;
+      status.reason = r.reason.value_or(revocation::ReasonCode::kUnspecified);
+      revocations.emplace_back(
+          util::to_lower(corpus.at(r.corpus_index).serial_hex()), status);
+    }
+  }
+};
+
+std::shared_ptr<const StalenessIndex::Level> StalenessIndex::build_level(
+    LevelInput input) const {
+  auto level = std::make_shared<Level>();
+  level->first_cert = input.first_cert;
+  level->end_cert = input.end_cert;
+  level->first_record = input.first_record;
+  level->records = std::move(input.records);
+
+  std::vector<IntervalIndex::Entry> windows;
+  windows.reserve(level->records.size());
+  for (std::uint32_t local = 0; local < level->records.size(); ++local) {
+    const StaleRecord& record = level->records[local];
+    const std::uint32_t i = level->first_record + local;
+    level->by_class[static_cast<std::size_t>(record.cls)].push_back(i);
+    for (const auto& name : at_risk_domains(corpus_, record.cert_index,
+                                            record.cls,
+                                            record.trigger_domain)) {
+      level->domain_to_records[name].push_back(i);
+    }
+    windows.push_back({record.staleness, i});
+  }
+  level->staleness_intervals = IntervalIndex(std::move(windows));
+  for (auto& [domain, indices] : level->domain_to_records) sort_unique(indices);
+
+  // SPKI custody index + validity endpoint arrays over the level's range.
+  const std::uint32_t count = level->end_cert - level->first_cert;
+  level->validity_begins.reserve(count);
+  level->validity_ends.reserve(count);
+  for (std::uint32_t i = level->first_cert; i < level->end_cert; ++i) {
+    const auto& cert = corpus_.at(i);
+    level->key_to_certs[cert.subject_key().fingerprint_hex()].push_back(i);
+    level->validity_begins.push_back(cert.not_before().days_since_epoch());
+    level->validity_ends.push_back(cert.not_after().days_since_epoch());
+  }
+  std::sort(level->validity_begins.begin(), level->validity_begins.end());
+  std::sort(level->validity_ends.begin(), level->validity_ends.end());
+
+  // Serial join, keeping the earliest revocation per serial.
+  for (auto& [serial, status] : input.revocations) {
+    const auto [it, inserted] =
+        level->serial_to_revocation.emplace(std::move(serial), status);
+    if (!inserted && better_status(status, it->second)) it->second = status;
+  }
+  return level;
+}
+
 StalenessIndex::StalenessIndex(core::PipelineResult result,
                                store::ArchiveMeta meta,
                                obs::PipelineObserver* observer)
-    : result_(std::move(result)), meta_(std::move(meta)) {
+    : corpus_(std::move(result.corpus)),
+      funnels_{result.collect_stats, result.revocations.join_stats},
+      meta_(std::move(meta)) {
   const obs::StageScope scope(observer, "query_index_build");
 
   // Denormalize the stale records in deterministic class-major order.
+  LevelInput input;
+  input.end_cert = static_cast<std::uint32_t>(corpus_.size());
   for (const auto cls : core::kAllStaleClasses) {
-    for (const auto& stale : result_.of(cls)) {
-      StaleRecord record;
-      record.cert_index = static_cast<std::uint32_t>(stale.corpus_index);
-      record.cls = cls;
-      record.event_date = stale.event_date;
-      record.staleness = stale.staleness;
-      record.trigger_domain = normalize_domain(stale.trigger_domain);
-      record.reason = stale.reason;
-      by_class_[static_cast<std::size_t>(cls)].push_back(
-          static_cast<std::uint32_t>(records_.size()));
-      records_.push_back(std::move(record));
-    }
+    input.add_records(cls, result.of(cls));
   }
-
-  const auto& corpus = result_.corpus;
-  std::vector<IntervalIndex::Entry> windows;
-  windows.reserve(records_.size());
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const StaleRecord& record = records_[i];
-    for (const auto& name : at_risk_domains(corpus, record.cert_index,
-                                            record.cls,
-                                            record.trigger_domain)) {
-      domain_to_records_[name].push_back(i);
-    }
-    windows.push_back({record.staleness, i});
-    stats_.by_class[static_cast<std::size_t>(record.cls)]++;
-  }
-  staleness_intervals_ = IntervalIndex(std::move(windows));
-  for (auto& [domain, indices] : domain_to_records_) sort_unique(indices);
-
-  // SPKI custody index + validity endpoint arrays over the whole corpus.
-  validity_begins_.reserve(corpus.size());
-  validity_ends_.reserve(corpus.size());
-  for (std::uint32_t i = 0; i < corpus.size(); ++i) {
-    const auto& cert = corpus.at(i);
-    key_to_certs_[cert.subject_key().fingerprint_hex()].push_back(i);
-    validity_begins_.push_back(cert.not_before().days_since_epoch());
-    validity_ends_.push_back(cert.not_after().days_since_epoch());
-  }
-  std::sort(validity_begins_.begin(), validity_begins_.end());
-  std::sort(validity_ends_.begin(), validity_ends_.end());
-
-  // Serial join from the revocation analysis (all reasons, not only key
-  // compromise), keeping the earliest revocation per serial.
-  for (const auto& revoked : result_.revocations.all_revoked) {
-    const auto& cert = corpus.at(revoked.corpus_index);
-    RevocationStatus status;
-    status.cert_index = static_cast<std::uint32_t>(revoked.corpus_index);
-    status.revocation_date = revoked.event_date;
-    status.reason = revoked.reason.value_or(revocation::ReasonCode::kUnspecified);
-    const std::string serial = util::to_lower(cert.serial_hex());
-    const auto [it, inserted] = serial_to_revocation_.emplace(serial, status);
-    if (!inserted && better_status(status, it->second)) it->second = status;
-  }
-
-  stats_.certificates = corpus.size();
-  stats_.stale_records = records_.size();
-  stats_.distinct_keys = key_to_certs_.size();
-  stats_.distinct_domains = domain_to_records_.size();
-  stats_.revoked_serials = serial_to_revocation_.size();
-  owned_stats_ = stats_;
+  input.add_revocations(corpus_, result.revocations.all_revoked);
+  add_level(build_level(std::move(input)));
 
   if (scope.enabled()) {
     scope.count("certificates", stats_.certificates);
@@ -133,25 +190,30 @@ StalenessIndex::StalenessIndex(core::PipelineResult result,
   }
 }
 
-bool StalenessIndex::owns_certificate(std::uint32_t cert_index) const {
-  const auto& names = result_.corpus.at(cert_index).dns_names();
-  const std::string first = names.empty() ? std::string{} : names.front();
-  return owns_(routing_domain(first));
-}
-
-void StalenessIndex::recompute_owned_stats() {
-  if (!owns_) {
-    owned_stats_ = stats_;
-    return;
+void StalenessIndex::tally(const Level& level,
+                           std::span<const std::shared_ptr<const Level>> older,
+                           const std::function<bool(const std::string&)>& owns,
+                           Stats& stats) const {
+  const auto known = [&](const auto member, const std::string& key) {
+    return std::any_of(older.begin(), older.end(), [&](const auto& l) {
+      return ((*l).*member).contains(key);
+    });
+  };
+  for (std::uint32_t i = level.first_cert; i < level.end_cert; ++i) {
+    if (!owns) {
+      stats.certificates++;
+      continue;
+    }
+    // First-name attribution: every replica of a certificate shares it.
+    const auto& names = corpus_.at(i).dns_names();
+    if (owns(routing_domain(names.empty() ? std::string{} : names.front()))) {
+      stats.certificates++;
+    }
   }
-  Stats owned;
-  for (std::uint32_t i = 0; i < result_.corpus.size(); ++i) {
-    if (owns_certificate(i)) owned.certificates++;
-  }
-  for (const StaleRecord& record : records_) {
-    if (!owns_(routing_domain(record.trigger_domain))) continue;
-    owned.stale_records++;
-    owned.by_class[static_cast<std::size_t>(record.cls)]++;
+  for (const StaleRecord& record : level.records) {
+    if (owns && !owns(routing_domain(record.trigger_domain))) continue;
+    stats.stale_records++;
+    stats.by_class[static_cast<std::size_t>(record.cls)]++;
   }
   // Keys and serials are attributed by hashing the key STRING itself: the
   // shard plan replicates every certificate onto the home shards of its
@@ -159,159 +221,137 @@ void StalenessIndex::recompute_owned_stats() {
   // shard provably holds the key's full membership and counts it exactly
   // once — a member-certificate anchor would double count whenever a
   // bucket straddles shards (cross-CA serial collisions, shared keys).
-  for (const auto& [key, certs] : key_to_certs_) {
-    if (owns_(key)) owned.distinct_keys++;
+  // Each is counted by the oldest level that holds it.
+  for (const auto& [key, certs] : level.key_to_certs) {
+    if (!known(&Level::key_to_certs, key) && (!owns || owns(key))) {
+      stats.distinct_keys++;
+    }
   }
-  for (const auto& [domain, records] : domain_to_records_) {
-    if (owns_(routing_domain(domain))) owned.distinct_domains++;
+  for (const auto& [domain, records] : level.domain_to_records) {
+    if (!known(&Level::domain_to_records, domain) &&
+        (!owns || owns(routing_domain(domain)))) {
+      stats.distinct_domains++;
+    }
   }
-  for (const auto& [serial, status] : serial_to_revocation_) {
-    if (owns_(serial)) owned.revoked_serials++;
+  for (const auto& [serial, status] : level.serial_to_revocation) {
+    if (!known(&Level::serial_to_revocation, serial) && (!owns || owns(serial))) {
+      stats.revoked_serials++;
+    }
   }
-  owned_stats_ = owned;
+}
+
+void StalenessIndex::add_level(std::shared_ptr<const Level> level) {
+  tally(*level, levels_, nullptr, stats_);
+  if (owns_) {
+    tally(*level, levels_, owns_, owned_stats_);
+  } else {
+    owned_stats_ = stats_;
+  }
+  levels_.push_back(std::move(level));
+
+  std::vector<std::size_t> sizes;
+  sizes.reserve(levels_.size());
+  for (const auto& l : levels_) sizes.push_back(l->size());
+  const std::size_t start = util::merge_start(sizes);
+  if (start + 1 < levels_.size()) {
+    // Rebuild the absorbed levels as one: published levels never change.
+    LevelInput merged;
+    merged.first_cert = levels_[start]->first_cert;
+    merged.end_cert = levels_.back()->end_cert;
+    merged.first_record = levels_[start]->first_record;
+    for (std::size_t j = start; j < levels_.size(); ++j) {
+      const Level& l = *levels_[j];
+      merged.records.insert(merged.records.end(), l.records.begin(),
+                            l.records.end());
+      merged.revocations.insert(merged.revocations.end(),
+                                l.serial_to_revocation.begin(),
+                                l.serial_to_revocation.end());
+    }
+    auto rebuilt = build_level(std::move(merged));
+    levels_.resize(start);
+    levels_.push_back(std::move(rebuilt));
+  }
+  refresh_chunks();
+}
+
+void StalenessIndex::refresh_chunks() {
+  record_chunks_.clear();
+  record_chunks_.reserve(levels_.size());
+  for (const auto& level : levels_) {
+    record_chunks_.push_back({level->first_record, &level->records});
+  }
 }
 
 void StalenessIndex::set_ownership(std::function<bool(const std::string&)> owns) {
   owns_ = std::move(owns);
-  recompute_owned_stats();
+  if (!owns_) {
+    owned_stats_ = stats_;
+    return;
+  }
+  // Tally every level against the ones before it, as the patches did.
+  Stats owned;
+  for (std::size_t j = 0; j < levels_.size(); ++j) {
+    tally(*levels_[j], std::span(levels_).first(j), owns_, owned);
+  }
+  owned_stats_ = owned;
 }
 
-StalenessIndex::StalenessIndex(const StalenessIndex& base, IndexPatch patch,
-                               obs::PipelineObserver* observer)
-    : meta_(base.meta_),
-      patch_generation_(base.patch_generation_ + 1),
-      records_(base.records_),
-      by_class_(base.by_class_),
-      key_to_certs_(base.key_to_certs_),
-      domain_to_records_(base.domain_to_records_),
-      serial_to_revocation_(base.serial_to_revocation_),
-      validity_begins_(base.validity_begins_),
-      validity_ends_(base.validity_ends_),
-      stats_(base.stats_),
-      owns_(base.owns_) {
+std::shared_ptr<const StalenessIndex> StalenessIndex::with_patch(
+    IndexPatch patch, obs::PipelineObserver* observer) const {
   const obs::StageScope scope(observer, "query_index_patch");
-  if (patch.base_certificates != base.result_.corpus.size()) {
+  if (patch.base_certificates != corpus_.size()) {
     throw LogicError(
         "StalenessIndex::with_patch: patch extends a corpus of " +
         std::to_string(patch.base_certificates) + " certificates, base has " +
-        std::to_string(base.result_.corpus.size()));
+        std::to_string(corpus_.size()));
   }
   if (patch.corpus.size() < patch.base_certificates) {
     throw LogicError("StalenessIndex::with_patch: patched corpus shrank");
   }
 
-  // Merge the pipeline result: base detector output plus the delta's new
-  // records, over the extended corpus.
-  result_.corpus = std::move(patch.corpus);
-  result_.collect_stats = patch.collect_stats;
-  result_.revocations.join_stats = patch.join_stats;
-  result_.revocations.all_revoked = base.result_.revocations.all_revoked;
-  result_.revocations.key_compromise = base.result_.revocations.key_compromise;
-  result_.registrant_change = base.result_.registrant_change;
-  result_.managed_departure = base.result_.managed_departure;
+  // The successor starts as a copy of this snapshot's handles: every level
+  // is shared, nothing is indexed twice.
+  auto next = std::make_shared<StalenessIndex>(*this);
+  next->corpus_ = std::move(patch.corpus);
+  next->funnels_ = {patch.collect_stats, patch.join_stats};
+  next->meta_.end = patch.new_end;
+  next->patch_generation_ = patch_generation_ + 1;
+
+  // New records are numbered after every base record, class-major, so each
+  // per-level index stays ascending and the level order is index order.
+  LevelInput input;
+  input.first_cert = static_cast<std::uint32_t>(patch.base_certificates);
+  input.end_cert = static_cast<std::uint32_t>(next->corpus_.size());
+  input.first_record = static_cast<std::uint32_t>(stats_.stale_records);
   std::vector<core::StaleCertificate> new_key_compromise;
   for (const auto& stale : patch.new_all_revoked) {
     if (stale.reason == revocation::ReasonCode::kKeyCompromise) {
       new_key_compromise.push_back(stale);
-      result_.revocations.key_compromise.push_back(stale);
     }
-    result_.revocations.all_revoked.push_back(stale);
   }
-  result_.registrant_change.insert(result_.registrant_change.end(),
-                                   patch.new_registrant_change.begin(),
-                                   patch.new_registrant_change.end());
-  result_.managed_departure.insert(result_.managed_departure.end(),
-                                   patch.new_managed_departure.begin(),
-                                   patch.new_managed_departure.end());
-
-  const auto& corpus = result_.corpus;
-
-  // New stale records: appended per class. New record indices are strictly
-  // larger than every base index, so the per-class lists and the per-domain
-  // buckets stay sorted and unique without a re-sort — only the touched
-  // domain buckets change at all.
-  auto append_records = [&](core::StaleClass cls,
-                            const std::vector<core::StaleCertificate>& fresh) {
-    for (const auto& stale : fresh) {
-      StaleRecord record;
-      record.cert_index = static_cast<std::uint32_t>(stale.corpus_index);
-      record.cls = cls;
-      record.event_date = stale.event_date;
-      record.staleness = stale.staleness;
-      record.trigger_domain = normalize_domain(stale.trigger_domain);
-      record.reason = stale.reason;
-      const auto index = static_cast<std::uint32_t>(records_.size());
-      by_class_[static_cast<std::size_t>(cls)].push_back(index);
-      for (const auto& name : at_risk_domains(corpus, record.cert_index, cls,
-                                              record.trigger_domain)) {
-        domain_to_records_[name].push_back(index);
-      }
-      stats_.by_class[static_cast<std::size_t>(cls)]++;
-      records_.push_back(std::move(record));
-    }
-  };
-  append_records(core::StaleClass::kKeyCompromise, new_key_compromise);
-  append_records(core::StaleClass::kRegistrantChange,
-                 patch.new_registrant_change);
-  append_records(core::StaleClass::kManagedTlsDeparture,
-                 patch.new_managed_departure);
-
-  // The interval index is rebuilt over all windows: records are orders of
-  // magnitude fewer than certificates, and the implicit-BST layout has no
-  // cheap single insertion.
-  std::vector<IntervalIndex::Entry> windows;
-  windows.reserve(records_.size());
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    windows.push_back({records_[i].staleness, i});
+  input.add_records(core::StaleClass::kKeyCompromise, new_key_compromise);
+  input.add_records(core::StaleClass::kRegistrantChange,
+                    patch.new_registrant_change);
+  input.add_records(core::StaleClass::kManagedTlsDeparture,
+                    patch.new_managed_departure);
+  input.add_revocations(next->corpus_, patch.new_all_revoked);
+  const std::uint64_t new_records = input.records.size();
+  if (input.end_cert > input.first_cert || !input.records.empty() ||
+      !input.revocations.empty()) {
+    next->add_level(next->build_level(std::move(input)));
   }
-  staleness_intervals_ = IntervalIndex(std::move(windows));
-
-  // New certificates: SPKI buckets (appended indices keep them ascending)
-  // and the two validity arrays (append + re-sort).
-  for (std::uint32_t i = static_cast<std::uint32_t>(patch.base_certificates);
-       i < corpus.size(); ++i) {
-    const auto& cert = corpus.at(i);
-    key_to_certs_[cert.subject_key().fingerprint_hex()].push_back(i);
-    validity_begins_.push_back(cert.not_before().days_since_epoch());
-    validity_ends_.push_back(cert.not_after().days_since_epoch());
-  }
-  std::sort(validity_begins_.begin(), validity_begins_.end());
-  std::sort(validity_ends_.begin(), validity_ends_.end());
-
-  // Serial join merge: earliest revocation still wins per serial.
-  for (const auto& revoked : patch.new_all_revoked) {
-    const auto& cert = corpus.at(revoked.corpus_index);
-    RevocationStatus status;
-    status.cert_index = static_cast<std::uint32_t>(revoked.corpus_index);
-    status.revocation_date = revoked.event_date;
-    status.reason = revoked.reason.value_or(revocation::ReasonCode::kUnspecified);
-    const std::string serial = util::to_lower(cert.serial_hex());
-    const auto [it, inserted] = serial_to_revocation_.emplace(serial, status);
-    if (!inserted && better_status(status, it->second)) it->second = status;
-  }
-
-  meta_.end = patch.new_end;
-  stats_.certificates = corpus.size();
-  stats_.stale_records = records_.size();
-  stats_.distinct_keys = key_to_certs_.size();
-  stats_.distinct_domains = domain_to_records_.size();
-  stats_.revoked_serials = serial_to_revocation_.size();
-  recompute_owned_stats();
 
   if (scope.enabled()) {
     scope.count("new_certificates",
-                corpus.size() - patch.base_certificates);
-    scope.count("new_stale_records", records_.size() - base.records_.size());
-    scope.count("certificates", stats_.certificates);
-    scope.count("stale_records", stats_.stale_records);
-    scope.gauge("patch_generation", static_cast<double>(patch_generation_));
+                next->corpus_.size() - patch.base_certificates);
+    scope.count("new_stale_records", new_records);
+    scope.count("certificates", next->stats_.certificates);
+    scope.count("stale_records", next->stats_.stale_records);
+    scope.gauge("patch_generation",
+                static_cast<double>(next->patch_generation_));
+    scope.gauge("levels", static_cast<double>(next->levels_.size()));
   }
-}
-
-std::shared_ptr<const StalenessIndex> StalenessIndex::with_patch(
-    IndexPatch patch, obs::PipelineObserver* observer) const {
-  return std::shared_ptr<const StalenessIndex>(
-      new StalenessIndex(*this, std::move(patch), observer));
+  return next;
 }
 
 namespace {
@@ -349,20 +389,24 @@ std::shared_ptr<const StalenessIndex> StalenessIndex::from_archive(
 }
 
 const StaleRecord& StalenessIndex::record(std::uint32_t index) const {
-  if (index >= records_.size()) {
+  if (index >= stats_.stale_records) {
     throw LogicError("StalenessIndex: record index out of range");
   }
-  return records_[index];
+  return stale_records()[index];
 }
 
-const std::vector<std::uint32_t>& StalenessIndex::of_class(
-    core::StaleClass cls) const {
-  return by_class_[static_cast<std::size_t>(cls)];
+std::vector<std::uint32_t> StalenessIndex::of_class(core::StaleClass cls) const {
+  std::vector<std::uint32_t> out;
+  for (const auto& level : levels_) {
+    const auto& part = level->by_class[static_cast<std::size_t>(cls)];
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 std::vector<std::uint32_t> StalenessIndex::certs_for_fqdn(
     const std::string& fqdn) const {
-  const auto indices = result_.corpus.by_fqdn(normalize_domain(fqdn));
+  const auto indices = corpus_.by_fqdn(normalize_domain(fqdn));
   std::vector<std::uint32_t> out;
   out.reserve(indices.size());
   for (const auto i : indices) out.push_back(static_cast<std::uint32_t>(i));
@@ -372,38 +416,60 @@ std::vector<std::uint32_t> StalenessIndex::certs_for_fqdn(
 
 std::vector<std::uint32_t> StalenessIndex::certs_for_key(
     const std::string& spki_hex) const {
-  const auto it = key_to_certs_.find(util::to_lower(spki_hex));
-  return it == key_to_certs_.end() ? std::vector<std::uint32_t>{} : it->second;
+  const std::string lower = util::to_lower(spki_hex);
+  std::vector<std::uint32_t> out;
+  for (const auto& level : levels_) {
+    const auto it = level->key_to_certs.find(lower);
+    if (it != level->key_to_certs.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+  return out;
 }
 
 std::vector<std::uint32_t> StalenessIndex::stale_records_for(
     const std::string& domain, util::Date date) const {
+  const std::string normalized = normalize_domain(domain);
   std::vector<std::uint32_t> out;
-  const auto it = domain_to_records_.find(normalize_domain(domain));
-  if (it == domain_to_records_.end()) return out;
-  for (const auto i : it->second) {
-    if (records_[i].staleness.contains(date)) out.push_back(i);
+  for (const auto& level : levels_) {
+    const auto it = level->domain_to_records.find(normalized);
+    if (it == level->domain_to_records.end()) continue;
+    for (const auto i : it->second) {
+      if (level->record(i).staleness.contains(date)) out.push_back(i);
+    }
   }
   return out;
 }
 
 std::vector<std::uint32_t> StalenessIndex::stale_records_for_range(
     const std::string& domain, const util::DateInterval& range) const {
+  const std::string normalized = normalize_domain(domain);
   std::vector<std::uint32_t> out;
-  const auto it = domain_to_records_.find(normalize_domain(domain));
-  if (it == domain_to_records_.end()) return out;
-  for (const auto i : it->second) {
-    if (records_[i].staleness.overlaps(range)) out.push_back(i);
+  for (const auto& level : levels_) {
+    const auto it = level->domain_to_records.find(normalized);
+    if (it == level->domain_to_records.end()) continue;
+    for (const auto i : it->second) {
+      if (level->record(i).staleness.overlaps(range)) out.push_back(i);
+    }
   }
   return out;
 }
 
 std::vector<std::uint32_t> StalenessIndex::stale_at(
     util::Date date, std::optional<core::StaleClass> cls) const {
-  std::vector<std::uint32_t> hits = staleness_intervals_.stabbing(date);
-  if (cls) {
-    std::erase_if(hits,
-                  [&](std::uint32_t i) { return records_[i].cls != *cls; });
+  std::vector<std::uint32_t> hits;
+  for (const auto& level : levels_) {
+    std::vector<std::uint32_t> part = level->staleness_intervals.stabbing(date);
+    if (cls) {
+      std::erase_if(part, [&](std::uint32_t i) {
+        return level->record(i).cls != *cls;
+      });
+    }
+    if (hits.empty()) {
+      hits = std::move(part);
+    } else {
+      hits.insert(hits.end(), part.begin(), part.end());
+    }
   }
   return hits;
 }
@@ -412,17 +478,20 @@ DomainSummary StalenessIndex::stale_summary(const std::string& domain) const {
   DomainSummary summary;
   summary.domain = normalize_domain(domain);
   summary.certificates = certs_for_fqdn(summary.domain).size();
-  const auto it = domain_to_records_.find(summary.domain);
-  if (it == domain_to_records_.end()) return summary;
-  for (const auto i : it->second) {
-    const StaleRecord& record = records_[i];
-    summary.stale_by_class[static_cast<std::size_t>(record.cls)]++;
-    if (!summary.earliest_event || record.event_date < *summary.earliest_event) {
-      summary.earliest_event = record.event_date;
-    }
-    if (!summary.latest_staleness_end ||
-        *summary.latest_staleness_end < record.staleness.end()) {
-      summary.latest_staleness_end = record.staleness.end();
+  for (const auto& level : levels_) {
+    const auto it = level->domain_to_records.find(summary.domain);
+    if (it == level->domain_to_records.end()) continue;
+    for (const auto i : it->second) {
+      const StaleRecord& record = level->record(i);
+      summary.stale_by_class[static_cast<std::size_t>(record.cls)]++;
+      if (!summary.earliest_event ||
+          record.event_date < *summary.earliest_event) {
+        summary.earliest_event = record.event_date;
+      }
+      if (!summary.latest_staleness_end ||
+          *summary.latest_staleness_end < record.staleness.end()) {
+        summary.latest_staleness_end = record.staleness.end();
+      }
     }
   }
   return summary;
@@ -430,21 +499,31 @@ DomainSummary StalenessIndex::stale_summary(const std::string& domain) const {
 
 std::optional<RevocationStatus> StalenessIndex::revocation_status(
     const std::string& serial_hex) const {
-  const auto it = serial_to_revocation_.find(util::to_lower(serial_hex));
-  if (it == serial_to_revocation_.end()) return std::nullopt;
-  return it->second;
+  const std::string lower = util::to_lower(serial_hex);
+  std::optional<RevocationStatus> best;
+  for (const auto& level : levels_) {
+    const auto it = level->serial_to_revocation.find(lower);
+    if (it == level->serial_to_revocation.end()) continue;
+    if (!best || better_status(it->second, *best)) best = it->second;
+  }
+  return best;
 }
 
 std::size_t StalenessIndex::valid_cert_count(util::Date date) const {
   const std::int64_t d = date.days_since_epoch();
-  // contains(d) = begin <= d < end, so count = #(begin <= d) - #(end <= d).
-  const auto begun = std::upper_bound(validity_begins_.begin(),
-                                      validity_begins_.end(), d) -
-                     validity_begins_.begin();
-  const auto ended =
-      std::upper_bound(validity_ends_.begin(), validity_ends_.end(), d) -
-      validity_ends_.begin();
-  return static_cast<std::size_t>(begun - ended);
+  // contains(d) = begin <= d < end, so count = #(begin <= d) - #(end <= d),
+  // summed over levels.
+  std::size_t count = 0;
+  for (const auto& level : levels_) {
+    const auto& begins = level->validity_begins;
+    const auto& ends = level->validity_ends;
+    const auto begun = std::upper_bound(begins.begin(), begins.end(), d) -
+                       begins.begin();
+    const auto ended =
+        std::upper_bound(ends.begin(), ends.end(), d) - ends.begin();
+    count += static_cast<std::size_t>(begun - ended);
+  }
+  return count;
 }
 
 }  // namespace stalecert::query

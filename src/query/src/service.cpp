@@ -756,7 +756,8 @@ std::string StaledService::statusz_json(
   if (index != nullptr) {
     out << ",\"certificates\":" << index->stats().certificates
         << ",\"stale_records\":" << index->stats().stale_records
-        << ",\"patch_generation\":" << index->patch_generation();
+        << ",\"patch_generation\":" << index->patch_generation()
+        << ",\"levels\":" << index->level_count();
   }
   out << "}";
 

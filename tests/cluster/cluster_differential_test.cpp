@@ -5,7 +5,6 @@
 // ephemeral ports (the router genuinely scatters over sockets); the router
 // and the single node are driven through handle() directly.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <memory>
@@ -24,6 +23,7 @@
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
 #include "stalecert/util/strings.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::cluster {
 namespace {
@@ -64,8 +64,7 @@ Cluster& cluster() {
     auto* c = new Cluster;
     // gtest_discover_tests runs sibling TESTs as concurrent processes that
     // share TempDir — the fixture paths must be per-process.
-    const std::string tag = std::to_string(::getpid());
-    c->base_path = ::testing::TempDir() + "cluster_diff_base_" + tag + ".scw";
+    c->base_path = testutil::unique_temp_path("cluster_diff_base.scw");
     sim::World world(sim::small_test_config());
     world.run();
     store::save_world(world, c->base_path, nullptr, "small");
@@ -73,7 +72,7 @@ Cluster& cluster() {
 
     const ShardPlan plan(kShards);
     const auto shard_paths = write_shard_archives(
-        c->full, plan, ::testing::TempDir() + "cluster_diff_shards_" + tag);
+        c->full, plan, testutil::unique_temp_path("cluster_diff_shards"));
 
     // Feed deltas: the full-world sequence and its routed split.
     c->deltas = feed::extend_world(c->full.meta, 2, 1);

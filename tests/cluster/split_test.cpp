@@ -4,17 +4,19 @@
 // slices sum back to the single-node world (owned_stats). The serving
 // equivalence of the resulting cluster is cluster_differential_test.cpp.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "stalecert/cluster/shard.hpp"
 #include "stalecert/cluster/split.hpp"
+#include "stalecert/core/pipeline.hpp"
+#include "stalecert/feed/applier.hpp"
 #include "stalecert/feed/extend.hpp"
 #include "stalecert/feed/format.hpp"
 #include "stalecert/query/index.hpp"
@@ -23,6 +25,7 @@
 #include "stalecert/store/archive.hpp"
 #include "stalecert/store/errors.hpp"
 #include "stalecert/util/strings.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::cluster {
 namespace {
@@ -217,7 +220,7 @@ TEST(ShardWorldTest, EveryRevocationSurvivesOrphansExactlyOnce) {
 TEST(ShardWorldTest, OwnedStatsSumBackToSingleNodeStats) {
   // Per-process path: sibling TESTs run as concurrent ctest processes.
   const auto dir =
-      ::testing::TempDir() + "cluster_split_sum_" + std::to_string(::getpid());
+      testutil::unique_temp_path("cluster_split_sum");
   const ShardPlan plan(kShards);
   const auto paths = write_shard_archives(split_world().full, plan, dir);
   ASSERT_EQ(paths.size(), kShards);
@@ -247,6 +250,68 @@ TEST(ShardWorldTest, OwnedStatsSumBackToSingleNodeStats) {
   EXPECT_EQ(sum.by_class, full.by_class);
 }
 
+/// A from-scratch snapshot of `world` with the archive's own pipeline
+/// posture (as StalenessIndex::from_archive builds one).
+std::shared_ptr<query::StalenessIndex> build_index(
+    const store::LoadedWorld& world) {
+  core::PipelineConfig config;
+  config.revocation_cutoff = world.meta.revocation_cutoff;
+  config.delegation_patterns = world.meta.delegation_patterns;
+  config.managed_san_pattern = world.meta.managed_san_pattern;
+  return std::make_shared<query::StalenessIndex>(
+      core::run_pipeline(world.ct_logs, world.revocations,
+                         world.re_registrations(), world.adns, config),
+      world.meta);
+}
+
+void expect_same_stats(const query::StalenessIndex::Stats& patched,
+                       const query::StalenessIndex::Stats& scratch,
+                       unsigned shard) {
+  EXPECT_EQ(patched.certificates, scratch.certificates) << shard;
+  EXPECT_EQ(patched.stale_records, scratch.stale_records) << shard;
+  EXPECT_EQ(patched.by_class, scratch.by_class) << shard;
+  EXPECT_EQ(patched.distinct_keys, scratch.distinct_keys) << shard;
+  EXPECT_EQ(patched.distinct_domains, scratch.distinct_domains) << shard;
+  EXPECT_EQ(patched.revoked_serials, scratch.revoked_serials) << shard;
+}
+
+TEST(ShardPatchTest, OwnedStatsAfterPatchesEqualAFromScratchShardBuild) {
+  // Owned stats update from each patch's new level only; after N routed
+  // deltas they must equal a shard build over the same accumulated world.
+  constexpr std::int64_t kDeltas = 9;
+  const std::string path = testutil::unique_temp_path("cluster_patch_base.scw");
+  {
+    sim::World world(sim::small_test_config());
+    world.run();
+    store::save_world(world, path, nullptr, "small");
+  }
+  const store::LoadedWorld full = store::load_world(path);
+  const ShardPlan plan(kShards);
+  std::vector<std::unique_ptr<feed::DeltaApplier>> appliers;
+  for (unsigned k = 0; k < kShards; ++k) {
+    store::LoadedWorld slice = shard_world(full, plan, k);
+    auto index = build_index(slice);
+    index->set_ownership(plan.scope_for(k).owns);
+    appliers.push_back(std::make_unique<feed::DeltaApplier>(
+        std::move(slice), std::shared_ptr<const query::StalenessIndex>(index)));
+  }
+  DeltaSplitter splitter(full, plan);
+  for (const auto& delta : feed::extend_world(full.meta, kDeltas, 1)) {
+    auto routed = splitter.split(delta);
+    for (unsigned k = 0; k < kShards; ++k) {
+      ASSERT_FALSE(appliers[k]->apply(std::move(routed[k])).rebuilt);
+    }
+  }
+  for (unsigned k = 0; k < kShards; ++k) {
+    const auto& patched = *appliers[k]->index();
+    ASSERT_EQ(patched.patch_generation(), static_cast<std::uint64_t>(kDeltas));
+    const auto scratch = build_index(appliers[k]->world());
+    scratch->set_ownership(plan.scope_for(k).owns);
+    expect_same_stats(patched.stats(), scratch->stats(), k);
+    expect_same_stats(patched.owned_stats(), scratch->owned_stats(), k);
+  }
+}
+
 TEST(ApplyShardFilterTest, PreSplitArchivePassesThroughMismatchThrows) {
   const ShardPlan plan(kShards);
   const auto& slice = split_world().shards[1];
@@ -271,8 +336,7 @@ TEST(DeltaSplitterTest, RoutesDeltasShardLocallyAndStaysSequenced) {
   };
   static const FreshWorld fresh = [] {
     FreshWorld f;
-    const std::string path = ::testing::TempDir() + "cluster_split_fresh_" +
-                             std::to_string(::getpid()) + ".scw";
+    const std::string path = testutil::unique_temp_path("cluster_split_fresh.scw");
     sim::World world(sim::small_test_config());
     world.run();
     store::save_world(world, path, nullptr, "small");

@@ -12,8 +12,10 @@
 //    (these files must keep parsing and applying under format evolution).
 //  - "fresh": a different seed extended live via extend_world, so the
 //    comparison does not fossilize one lucky world.
+// FeedMergeDifferentialTest runs the same comparisons over a schedule
+// whose patched snapshot merges storage levels, including into the base
+// level, and keeps taking patches afterwards.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <map>
@@ -31,6 +33,7 @@
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
 #include "stalecert/util/strings.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef STALECERT_FEED_TEST_DATA_DIR
 #error "STALECERT_FEED_TEST_DATA_DIR must be defined by the build"
@@ -43,7 +46,11 @@ using query::StalenessIndex;
 using util::Date;
 using util::DateInterval;
 
-constexpr std::int64_t kFreshExtendDays = 7;
+/// One extend_world call: `days` days in slices of `slice_days`.
+struct Slices {
+  std::int64_t days = 0;
+  std::int64_t slice_days = 1;
+};
 
 /// Order-independent identity of one corpus certificate: serial, key,
 /// validity, and the full (sorted) name set.
@@ -92,17 +99,15 @@ struct Fixture {
   std::uint64_t deltas_applied = 0;
   std::uint64_t new_certificates = 0;
   std::uint64_t new_stale_records = 0;
+  std::uint64_t rebuilds = 0;
+  /// Some delta made the patched snapshot merge levels / merge every level
+  /// into the base one.
+  bool merged = false;
+  bool merged_into_base = false;
 
   std::vector<std::string> domains;
   std::vector<Date> dates;
 };
-
-// gtest_discover_tests runs every test of this suite as its own process,
-// and ctest runs them in parallel — a bare tag would make two processes
-// race on the same archive path (observed as "truncated segment" flakes).
-std::string unique_tag(const std::string& tag) {
-  return tag + "_" + std::to_string(::getpid());
-}
 
 std::shared_ptr<const StalenessIndex> build_scratch(
     const sim::WorldConfig& config, std::int64_t extra_days,
@@ -110,23 +115,24 @@ std::shared_ptr<const StalenessIndex> build_scratch(
   sim::World world(config);
   world.run();
   world.extend(extra_days);
-  const std::string path =
-      ::testing::TempDir() + unique_tag(tag) + "_scratch.scw";
+  const std::string path = testutil::unique_temp_path(tag + "_scratch.scw");
   store::save_world(world, path, nullptr, "small");
   return StalenessIndex::from_archive(path);
 }
 
-Fixture build_fixture(std::uint64_t seed, std::int64_t extra_days,
+Fixture build_fixture(std::uint64_t seed,
+                      const std::vector<Slices>& schedule,
                       const std::vector<std::string>& delta_paths,
                       const std::string& tag) {
+  std::int64_t extra_days = 0;
+  for (const auto& run : schedule) extra_days += run.days;
   sim::WorldConfig config = sim::small_test_config();
   config.seed = seed;
 
   // Delta side: archive the base world, feed the deltas through the real
   // serving runtime (decode + validate + apply + with_patch).
   Fixture f;
-  const std::string base_path =
-      ::testing::TempDir() + unique_tag(tag) + "_base.scw";
+  const std::string base_path = testutil::unique_temp_path(tag + "_base.scw");
   {
     sim::World world(config);
     world.run();
@@ -135,24 +141,33 @@ Fixture build_fixture(std::uint64_t seed, std::int64_t extra_days,
 
   std::vector<std::string> paths = delta_paths;
   if (paths.empty()) {
-    const auto deltas =
-        extend_world(store::ArchiveReader(base_path).meta(), extra_days);
-    for (const auto& delta : deltas) {
-      const std::string path = ::testing::TempDir() + unique_tag(tag) + "_" +
-                               delta_file_name(delta.meta);
-      write_delta(delta, path);
-      paths.push_back(path);
+    store::ArchiveMeta meta = store::ArchiveReader(base_path).meta();
+    for (const auto& run : schedule) {
+      for (const auto& delta : extend_world(meta, run.days, run.slice_days)) {
+        const std::string path =
+            testutil::unique_temp_path(tag + "_" + delta_file_name(delta.meta));
+        write_delta(delta, path);
+        paths.push_back(path);
+      }
+      meta.end = meta.end + run.days;
     }
   }
 
   FeedRuntime runtime(base_path);
   for (const auto& path : paths) {
+    const std::size_t levels_before = runtime.index()->level_count();
     query::IngestSource source;
     source.path = path;
     const query::IngestOutcome outcome = runtime.ingest(source);
     EXPECT_TRUE(outcome.ok) << path << ": " << outcome.message;
     f.new_certificates += outcome.new_certificates;
     f.new_stale_records += outcome.new_stale_records;
+    f.rebuilds += outcome.rebuilt ? 1 : 0;
+    const auto& index = *runtime.index();
+    f.merged = f.merged || index.level_count() <= levels_before;
+    f.merged_into_base = f.merged_into_base ||
+                         (!outcome.rebuilt && index.level_count() == 1 &&
+                          index.corpus().level_count() == 1);
   }
   f.patched = runtime.index();
   f.deltas_applied = runtime.deltas_applied();
@@ -192,7 +207,7 @@ Fixture build_fixture(std::uint64_t seed, std::int64_t extra_days,
 const Fixture& golden_fixture() {
   static const Fixture fixture = [] {
     const std::string dir = STALECERT_FEED_TEST_DATA_DIR;
-    return build_fixture(sim::small_test_config().seed, 3,
+    return build_fixture(sim::small_test_config().seed, {{3, 1}},
                          {dir + "/delta-2023-01-01-2023-01-01.scwd",
                           dir + "/delta-2023-01-02-2023-01-02.scwd",
                           dir + "/delta-2023-01-03-2023-01-03.scwd"},
@@ -203,8 +218,15 @@ const Fixture& golden_fixture() {
 
 const Fixture& fresh_fixture() {
   static const Fixture fixture =
-      build_fixture(20260808, kFreshExtendDays, {}, "feed_diff_fresh");
+      build_fixture(20260808, {{7, 1}}, {}, "feed_diff_fresh");
   return fixture;
+}
+
+/// Four daily deltas, then one 400-day slice holding more certificates
+/// than the base (the patched levels merge into the base level), then a
+/// 3-day slice patched on top of the merged base.
+Fixture build_merge_fixture() {
+  return build_fixture(20260809, {{4, 1}, {403, 400}}, {}, "feed_diff_merge");
 }
 
 class FeedDifferentialTest : public ::testing::TestWithParam<const char*> {
@@ -228,8 +250,7 @@ TEST_P(FeedDifferentialTest, DeltasActuallyChangedTheWorld) {
             0u);
 }
 
-TEST_P(FeedDifferentialTest, MetaAndTotalsAgree) {
-  const Fixture& f = fixture();
+void check_meta_and_totals_agree(const Fixture& f) {
   EXPECT_EQ(f.patched->meta().end, f.scratch->meta().end);
   EXPECT_EQ(f.patched->corpus().size(), f.scratch->corpus().size());
   EXPECT_EQ(f.patched->stale_records().size(), f.scratch->stale_records().size());
@@ -241,8 +262,11 @@ TEST_P(FeedDifferentialTest, MetaAndTotalsAgree) {
             f.scratch->stats().revoked_serials);
 }
 
-TEST_P(FeedDifferentialTest, CorpusContentsAgree) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, MetaAndTotalsAgree) {
+  check_meta_and_totals_agree(fixture());
+}
+
+void check_corpus_contents_agree(const Fixture& f) {
   std::multiset<std::string> patched, scratch;
   for (std::uint32_t i = 0; i < f.patched->corpus().size(); ++i) {
     patched.insert(cert_identity(f.patched->corpus(), i));
@@ -253,8 +277,11 @@ TEST_P(FeedDifferentialTest, CorpusContentsAgree) {
   EXPECT_EQ(patched, scratch);
 }
 
-TEST_P(FeedDifferentialTest, StaleRecordContentsAgree) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, CorpusContentsAgree) {
+  check_corpus_contents_agree(fixture());
+}
+
+void check_stale_record_contents_agree(const Fixture& f) {
   std::multiset<std::string> patched, scratch;
   for (std::uint32_t r = 0; r < f.patched->stale_records().size(); ++r) {
     patched.insert(record_identity(*f.patched, r));
@@ -265,8 +292,11 @@ TEST_P(FeedDifferentialTest, StaleRecordContentsAgree) {
   EXPECT_EQ(patched, scratch);
 }
 
-TEST_P(FeedDifferentialTest, CertsForFqdnAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, StaleRecordContentsAgree) {
+  check_stale_record_contents_agree(fixture());
+}
+
+void check_certs_for_fqdn_agrees(const Fixture& f) {
   for (const auto& domain : f.domains) {
     EXPECT_EQ(cert_identities(*f.patched, f.patched->certs_for_fqdn(domain)),
               cert_identities(*f.scratch, f.scratch->certs_for_fqdn(domain)))
@@ -274,8 +304,11 @@ TEST_P(FeedDifferentialTest, CertsForFqdnAgrees) {
   }
 }
 
-TEST_P(FeedDifferentialTest, CertsForKeyAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, CertsForFqdnAgrees) {
+  check_certs_for_fqdn_agrees(fixture());
+}
+
+void check_certs_for_key_agrees(const Fixture& f) {
   std::set<std::string> keys;
   for (const auto& cert : f.scratch->corpus().certificates()) {
     keys.insert(cert.subject_key().fingerprint_hex());
@@ -288,8 +321,11 @@ TEST_P(FeedDifferentialTest, CertsForKeyAgrees) {
   }
 }
 
-TEST_P(FeedDifferentialTest, IsStaleAndPointQueriesAgree) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, CertsForKeyAgrees) {
+  check_certs_for_key_agrees(fixture());
+}
+
+void check_is_stale_and_point_queries_agree(const Fixture& f) {
   for (const auto& domain : f.domains) {
     for (const auto date : f.dates) {
       EXPECT_EQ(f.patched->is_stale(domain, date),
@@ -304,8 +340,11 @@ TEST_P(FeedDifferentialTest, IsStaleAndPointQueriesAgree) {
   }
 }
 
-TEST_P(FeedDifferentialTest, RangeQueriesAgree) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, IsStaleAndPointQueriesAgree) {
+  check_is_stale_and_point_queries_agree(fixture());
+}
+
+void check_range_queries_agree(const Fixture& f) {
   for (const auto& domain : f.domains) {
     for (std::size_t i = 0; i + 1 < f.dates.size(); i += 3) {
       const DateInterval range{f.dates[i], f.dates[i + 1]};
@@ -318,8 +357,11 @@ TEST_P(FeedDifferentialTest, RangeQueriesAgree) {
   }
 }
 
-TEST_P(FeedDifferentialTest, StaleAtAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, RangeQueriesAgree) {
+  check_range_queries_agree(fixture());
+}
+
+void check_stale_at_agrees(const Fixture& f) {
   for (const auto date : f.dates) {
     EXPECT_EQ(record_identities(*f.patched, f.patched->stale_at(date)),
               record_identities(*f.scratch, f.scratch->stale_at(date)))
@@ -332,8 +374,11 @@ TEST_P(FeedDifferentialTest, StaleAtAgrees) {
   }
 }
 
-TEST_P(FeedDifferentialTest, StaleSummaryAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, StaleAtAgrees) {
+  check_stale_at_agrees(fixture());
+}
+
+void check_stale_summary_agrees(const Fixture& f) {
   for (const auto& domain : f.domains) {
     const query::DomainSummary patched = f.patched->stale_summary(domain);
     const query::DomainSummary scratch = f.scratch->stale_summary(domain);
@@ -345,8 +390,11 @@ TEST_P(FeedDifferentialTest, StaleSummaryAgrees) {
   }
 }
 
-TEST_P(FeedDifferentialTest, RevocationStatusAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, StaleSummaryAgrees) {
+  check_stale_summary_agrees(fixture());
+}
+
+void check_revocation_status_agrees(const Fixture& f) {
   std::set<std::string> serials;
   for (const auto& cert : f.scratch->corpus().certificates()) {
     serials.insert(util::to_lower(cert.serial_hex()));
@@ -367,8 +415,11 @@ TEST_P(FeedDifferentialTest, RevocationStatusAgrees) {
   }
 }
 
-TEST_P(FeedDifferentialTest, ValidCertCountAgrees) {
-  const Fixture& f = fixture();
+TEST_P(FeedDifferentialTest, RevocationStatusAgrees) {
+  check_revocation_status_agrees(fixture());
+}
+
+void check_valid_cert_count_agrees(const Fixture& f) {
   for (const auto date : f.dates) {
     EXPECT_EQ(f.patched->valid_cert_count(date),
               f.scratch->valid_cert_count(date))
@@ -376,8 +427,34 @@ TEST_P(FeedDifferentialTest, ValidCertCountAgrees) {
   }
 }
 
+TEST_P(FeedDifferentialTest, ValidCertCountAgrees) {
+  check_valid_cert_count_agrees(fixture());
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, FeedDifferentialTest,
                          ::testing::Values("golden", "fresh"));
+
+// The merge schedule is slow to simulate (~800 extension days), so its
+// comparisons run in one process instead of one per TEST_P.
+TEST(FeedMergeDifferentialTest, EveryQueryAgreesAcrossLevelMerges) {
+  const Fixture f = build_merge_fixture();
+  ASSERT_EQ(f.deltas_applied, 6u);
+  EXPECT_EQ(f.rebuilds, 0u);
+  EXPECT_TRUE(f.merged);
+  EXPECT_TRUE(f.merged_into_base);
+  EXPECT_GT(f.patched->level_count(), 1u);  // patched after the base merge
+  check_meta_and_totals_agree(f);
+  check_corpus_contents_agree(f);
+  check_stale_record_contents_agree(f);
+  check_certs_for_fqdn_agrees(f);
+  check_certs_for_key_agrees(f);
+  check_is_stale_and_point_queries_agree(f);
+  check_range_queries_agree(f);
+  check_stale_at_agrees(f);
+  check_stale_summary_agrees(f);
+  check_revocation_status_agrees(f);
+  check_valid_cert_count_agrees(f);
+}
 
 }  // namespace
 }  // namespace stalecert::feed

@@ -16,6 +16,7 @@
 #include "stalecert/feed/format.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::feed {
 namespace {
@@ -27,7 +28,7 @@ const store::ArchiveMeta& base_meta() {
   static const store::ArchiveMeta meta = [] {
     sim::World world(sim::small_test_config());
     world.run();
-    const std::string path = ::testing::TempDir() + "feed_roundtrip_base.scw";
+    const std::string path = testutil::unique_temp_path("feed_roundtrip_base.scw");
     store::save_world(world, path, nullptr, "small");
     return store::ArchiveReader(path).meta();
   }();
@@ -97,7 +98,7 @@ TEST(FeedDeltaTest, RoundtripBytesIsIdentity) {
 TEST(FeedDeltaTest, FileRoundtripMatchesBytes) {
   const auto deltas = extend_world(base_meta(), 1);
   ASSERT_EQ(deltas.size(), 1u);
-  const std::string path = ::testing::TempDir() + "feed_roundtrip.scwd";
+  const std::string path = testutil::unique_temp_path("feed_roundtrip.scwd");
   const std::uint64_t written = write_delta(deltas.front(), path);
 
   std::ifstream in(path, std::ios::binary);

@@ -24,6 +24,7 @@
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
 #include "stalecert/store/errors.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::feed {
 namespace {
@@ -37,7 +38,7 @@ struct BaseWorld {
 const BaseWorld& base_world() {
   static const BaseWorld base = [] {
     BaseWorld b;
-    b.path = ::testing::TempDir() + "feed_robust_base.scw";
+    b.path = testutil::unique_temp_path("feed_robust_base.scw");
     sim::World world(sim::small_test_config());
     world.run();
     store::save_world(world, b.path, nullptr, "small");
@@ -202,7 +203,7 @@ TEST(FeedRobustnessTest, RuntimeMapsFailuresToStatusesWithoutThrowing) {
 }
 
 TEST(FeedRobustnessTest, PendingDeltasSkipsForeignAppliedAndBrokenFiles) {
-  const std::string dir = ::testing::TempDir() + "feed_pending_dir";
+  const std::string dir = testutil::unique_temp_path("feed_pending_dir");
   std::filesystem::create_directories(dir);
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     std::filesystem::remove(entry.path());

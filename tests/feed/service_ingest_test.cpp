@@ -19,6 +19,7 @@
 #include "stalecert/query/service.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::feed {
 namespace {
@@ -32,7 +33,7 @@ struct FeedWorld {
 const FeedWorld& feed_world() {
   static const FeedWorld shared = [] {
     FeedWorld w;
-    w.base_path = ::testing::TempDir() + "feed_service_base.scw";
+    w.base_path = testutil::unique_temp_path("feed_service_base.scw");
     sim::World world(sim::small_test_config());
     world.run();
     store::save_world(world, w.base_path, nullptr, "small");
@@ -42,7 +43,7 @@ const FeedWorld& feed_world() {
       const auto bytes = write_delta_bytes(delta);
       w.delta_bodies.emplace_back(bytes.begin(), bytes.end());
       const std::string path =
-          ::testing::TempDir() + "feed_service_" + delta_file_name(delta.meta);
+          testutil::unique_temp_path("feed_service_" + delta_file_name(delta.meta));
       write_delta(delta, path);
       w.delta_paths.push_back(path);
     }
@@ -154,6 +155,22 @@ TEST_F(FeedServiceTest, SequentialDeltasExtendTheServedHorizon) {
   const auto summary = client_->get("/v1/summary");
   EXPECT_EQ(summary.status, 200);
   EXPECT_NE(summary.body.find(after_end), std::string::npos);
+}
+
+TEST_F(FeedServiceTest, DeltaLargerThanTheHeadBoundIsAccepted) {
+  // One 30-day slice: a body past the server's default 64 KiB
+  // request-head bound, POSTed to the default-configured server.
+  const auto deltas = extend_world(
+      store::ArchiveReader(feed_world().base_path).meta(), 30, 30);
+  ASSERT_EQ(deltas.size(), 1u);
+  const auto bytes = write_delta_bytes(deltas.front());
+  const std::string body(bytes.begin(), bytes.end());
+  ASSERT_GT(body.size(), query::HttpServer::Options{}.max_request_bytes);
+
+  const auto applied = client_->post("/ingest", body);
+  ASSERT_EQ(applied.status, 200) << applied.body;
+  EXPECT_NE(applied.body.find("\"applied\":true"), std::string::npos);
+  EXPECT_EQ(service_->snapshot()->meta().end, deltas.front().meta.to_day);
 }
 
 TEST(FeedServiceNoHandlerTest, IngestWithoutFeedModeIs404) {

@@ -100,9 +100,23 @@ TEST(RequestCodecTest, BadContentLengthIs400WithExactBody) {
 TEST(RequestCodecTest, OversizedContentLengthIsRejected) {
   Http1RequestCodec codec(/*max_request_bytes=*/128);
   const State state = codec.consume(
-      "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n");
+      "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+      std::to_string(Http1RequestCodec::kMaxPostBodyBytes + 1) + "\r\n\r\n");
   EXPECT_EQ(state, State::kError);
   EXPECT_EQ(codec.error_response().body, "bad or oversized content-length\n");
+}
+
+TEST(RequestCodecTest, OnlyPostBodiesMayExceedTheHeadBound) {
+  const std::string head =
+      " /x HTTP/1.1\r\nHost: x\r\nContent-Length: 1000\r\n\r\n";
+  Http1RequestCodec get(/*max_request_bytes=*/128);
+  EXPECT_EQ(get.consume("GET" + head), State::kError);
+  EXPECT_EQ(get.error_response().body, "bad or oversized content-length\n");
+
+  Http1RequestCodec post(/*max_request_bytes=*/128);
+  EXPECT_EQ(post.consume("POST" + head), State::kBody);
+  EXPECT_EQ(post.consume(std::string(1000, 'b')), State::kComplete);
+  EXPECT_EQ(post.take_request().body.size(), 1000u);
 }
 
 using RState = Http1ResponseCodec::State;

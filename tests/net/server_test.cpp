@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "stalecert/net/client.hpp"
+#include "stalecert/net/codec.hpp"
 
 namespace stalecert::net {
 namespace {
@@ -142,6 +143,22 @@ TEST(NetServerTest, OversizedRequestGets400AndClose) {
   const std::string reply = client.read_to_eof();  // server must close
   EXPECT_NE(reply.find("400 Bad Request"), std::string::npos) << reply;
   EXPECT_NE(reply.find("request too large"), std::string::npos) << reply;
+  server.stop();
+}
+
+TEST(NetServerTest, PostBodyAboveTheBoundGets400AndClose) {
+  // A default server takes POST bodies past its head bound (.scwd deltas),
+  // but refuses a Content-Length above kMaxPostBodyBytes before buffering.
+  HttpServer server(test_options(), echo_handler);
+  server.start();
+  RawClient client(server.port());
+  client.send("POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+              std::to_string(Http1RequestCodec::kMaxPostBodyBytes + 1) +
+              "\r\n\r\n");
+  const std::string reply = client.read_to_eof();  // server must close
+  EXPECT_NE(reply.find("400 Bad Request"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("bad or oversized content-length"), std::string::npos)
+      << reply;
   server.stop();
 }
 

@@ -27,6 +27,19 @@ TEST(TimerWheelTest, FiresAtDeadlineNotBefore) {
   EXPECT_EQ(wheel.advance(start + 200ms), 0u);
 }
 
+TEST(TimerWheelTest, DeadlineLaterInTheSweptTickStillFiresNextAdvance) {
+  // An advance() early in a 4 ms tick sweeps that tick's slot before a
+  // deadline sharing the tick is due; the next advance() must still fire
+  // it, not one revolution (~2 s) later.
+  const Clock::time_point start = Clock::now();
+  TimerWheel wheel(start);
+  int fired = 0;
+  wheel.add(start + 301ms, [&] { ++fired; });  // tick 75 spans [300, 304)
+  EXPECT_EQ(wheel.advance(start + 300ms), 0u);
+  EXPECT_EQ(wheel.advance(start + 302ms), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(TimerWheelTest, CancelPreventsFiring) {
   const Clock::time_point start = Clock::now();
   TimerWheel wheel(start);

@@ -1,4 +1,5 @@
 #include "stalecert/obs/event_log.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -101,7 +102,7 @@ TEST(EventLogTest, TailMergesThreadsBySequence) {
 
 TEST(EventLogTest, JsonlSinkWritesOneObjectPerLine) {
   const std::string path =
-      testing::TempDir() + "stalecert_event_log_test.jsonl";
+      testutil::unique_temp_path("stalecert_event_log_test.jsonl");
   {
     EventLog log;
     log.enable_stderr(false);

@@ -12,6 +12,7 @@
 #include "stalecert/obs/observer.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert {
 namespace {
@@ -171,7 +172,7 @@ TEST(ObserverPipelineTest, ArchiveRoundTripPreservesStaleSetsAndFunnels) {
   // pipeline over a reloaded .scw archive produces the same stale sets and
   // reports the same funnel counters as the pipeline over the live world.
   const sim::WorldConfig config = sim::small_test_config();
-  const std::string path = ::testing::TempDir() + "observer_roundtrip.scw";
+  const std::string path = testutil::unique_temp_path("observer_roundtrip.scw");
 
   obs::MetricsPipelineObserver live_telemetry;
   sim::World world(config);

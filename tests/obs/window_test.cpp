@@ -22,7 +22,8 @@ Clock::time_point origin() {
 }
 
 TEST(WindowedCounterTest, SumsWithinWindow) {
-  WindowedCounter counter(seconds(60), seconds(5));
+  // Created well before the window, so the rate spans the whole window.
+  WindowedCounter counter(seconds(60), seconds(5), origin() - seconds(600));
   const auto t0 = origin();
   counter.add(3, t0);
   counter.add(2, t0 + seconds(1));
@@ -75,6 +76,22 @@ TEST(WindowedCounterTest, WindowClampedToHorizon) {
   // Asking for more than the horizon cannot resurrect aged-out data.
   EXPECT_EQ(counter.sum(seconds(600), t0 + seconds(2)), 4u);
   EXPECT_EQ(counter.sum(seconds(600), t0 + seconds(100)), 0u);
+}
+
+TEST(WindowedCounterTest, YoungCounterDividesByItsAge) {
+  // A counter 3 s old that saw 300 events runs at 100/s, not 300/60.
+  const auto t0 = origin();
+  WindowedCounter counter(seconds(300), seconds(5), t0);
+  counter.add(100, t0);
+  counter.add(200, t0 + seconds(2));
+  EXPECT_DOUBLE_EQ(counter.rate_per_second(seconds(60), t0 + seconds(3)),
+                   100.0);
+  // Once older than the window, the whole window is the divisor again.
+  counter.add(90, t0 + seconds(100));
+  EXPECT_DOUBLE_EQ(counter.rate_per_second(seconds(60), t0 + seconds(100)),
+                   90.0 / 60.0);
+  // At age zero there is no rate to report.
+  EXPECT_DOUBLE_EQ(counter.rate_per_second(seconds(60), t0), 0.0);
 }
 
 TEST(WindowedHistogramTest, SnapshotWorksWithQuantiles) {

@@ -5,7 +5,6 @@
 // shared helper), so an indexing bug and a specification bug cannot cancel
 // out.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <map>
@@ -20,6 +19,7 @@
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
 #include "stalecert/util/strings.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef STALECERT_QUERY_TEST_DATA_DIR
 #error "STALECERT_QUERY_TEST_DATA_DIR must be defined by the build"
@@ -130,11 +130,8 @@ const Fixture& fresh_fixture() {
     config.seed = 20260806;
     sim::World world(config);
     world.run();
-    // gtest_discover_tests runs sibling TESTs as concurrent processes
-    // sharing TempDir(): the archive path must be per-process or a
-    // writer can truncate the file under another process's reader.
-    const std::string path = ::testing::TempDir() + "differential_fresh_" +
-                             std::to_string(::getpid()) + ".scw";
+    const std::string path =
+        testutil::unique_temp_path("differential_fresh.scw");
     store::save_world(world, path, nullptr, "small");
     return build_fixture(path);
   }();

@@ -14,6 +14,7 @@
 
 #include "stalecert/query/service.hpp"
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef STALECERT_QUERY_TEST_DATA_DIR
 #error "STALECERT_QUERY_TEST_DATA_DIR must be defined by the build"
@@ -109,7 +110,7 @@ TEST(HotSwapTest, ServiceReloadRacesInFlightRequests) {
 
 TEST(HotSwapTest, FailedReloadKeepsThePreviousSnapshotServing) {
   // Copy the golden archive so we can corrupt the file after loading.
-  const std::string path = ::testing::TempDir() + "hotswap_corrupt.scw";
+  const std::string path = testutil::unique_temp_path("hotswap_corrupt.scw");
   {
     std::ifstream in(kGoldenPath, std::ios::binary);
     std::ofstream out(path, std::ios::binary);

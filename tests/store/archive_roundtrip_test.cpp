@@ -11,6 +11,7 @@
 #include "stalecert/obs/observer.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::store {
 namespace {
@@ -25,7 +26,7 @@ const sim::World& test_world() {
 }
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return testutil::unique_temp_path(name);
 }
 
 core::PipelineConfig pipeline_config_for(

@@ -16,6 +16,7 @@
 
 #include "stalecert/store/archive.hpp"
 #include "stalecert/x509/certificate.hpp"
+#include "support/temp_path.hpp"
 
 #ifndef STALECERT_STORE_TEST_DATA_DIR
 #error "STALECERT_STORE_TEST_DATA_DIR must be defined by the build"
@@ -184,7 +185,7 @@ TEST(GoldenArchiveTest, FixtureDecodesWithCurrentReader) {
 
 TEST(GoldenArchiveTest, EncoderIsByteStableAtThisFormatVersion) {
   if (maybe_regenerate()) GTEST_SKIP() << "fixture regenerated";
-  const std::string fresh_path = ::testing::TempDir() + "golden_fresh.scw";
+  const std::string fresh_path = testutil::unique_temp_path("golden_fresh.scw");
   write_golden(build_golden(), fresh_path);
   const auto golden = read_file(kGoldenPath);
   const auto fresh = read_file(fresh_path);

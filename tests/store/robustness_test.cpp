@@ -11,12 +11,13 @@
 #include <vector>
 
 #include "stalecert/store/archive.hpp"
+#include "support/temp_path.hpp"
 
 namespace stalecert::store {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
+  return testutil::unique_temp_path(name);
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
