@@ -39,8 +39,8 @@
 #include "stalecert/cluster/router.hpp"
 #include "stalecert/cluster/shard.hpp"
 #include "stalecert/cluster/split.hpp"
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/server.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/service.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
@@ -162,7 +162,7 @@ void print_result(const ModeResult& r) {
 /// One running shard tier: services behind real HTTP servers.
 struct ShardTier {
   std::vector<std::unique_ptr<query::StaledService>> services;
-  std::vector<std::unique_ptr<query::HttpServer>> servers;
+  std::vector<std::unique_ptr<net::HttpServer>> servers;
   std::vector<cluster::ShardEndpoint> endpoints;
 
   ShardTier() = default;
@@ -194,16 +194,16 @@ ShardTier start_tier(const std::vector<std::string>& archive_paths,
     service->log().set_level(obs::LogLevel::kError);
     service->load();
 
-    query::HttpServer::Options server_options;
+    net::HttpServer::Options server_options;
     server_options.port = 0;
     // Each closed-loop worker keeps one persistent connection per shard,
     // and the server is thread-per-connection: size the pool to the
     // worker count or the extra workers would block in connect forever.
     server_options.threads = server_threads;
     auto* raw = service.get();
-    auto server = std::make_unique<query::HttpServer>(
+    auto server = std::make_unique<net::HttpServer>(
         server_options,
-        [raw](const query::HttpRequest& r) { return raw->handle(r); });
+        [raw](const net::HttpRequest& r) { return raw->handle(r); });
     server->start();
     tier.endpoints.push_back({"127.0.0.1", server->port()});
     tier.services.push_back(std::move(service));
@@ -229,11 +229,11 @@ std::string point_target(const Workload& workload, std::mt19937_64& rng,
 ModeResult run_direct(const std::string& mode, const Options& options,
                       const Workload& workload, const ShardTier& tier,
                       const cluster::ShardPlan& plan) {
-  std::vector<std::vector<std::unique_ptr<query::HttpClient>>> clients(
+  std::vector<std::vector<std::unique_ptr<net::HttpClient>>> clients(
       options.threads);
   for (unsigned t = 0; t < options.threads; ++t) {
     for (const auto& endpoint : tier.endpoints) {
-      clients[t].push_back(std::make_unique<query::HttpClient>(
+      clients[t].push_back(std::make_unique<net::HttpClient>(
           endpoint.host, endpoint.port));
     }
   }
@@ -351,7 +351,7 @@ int run(int argc, char** argv) {
           "router-4", options, [&](std::mt19937_64& rng, unsigned) {
             std::string domain;
             const auto target = point_target(workload, rng, &domain);
-            const auto parsed = query::parse_request(
+            const auto parsed = net::parse_request(
                 "GET " + target + " HTTP/1.1\r\n\r\n");
             (void)router.handle(*parsed);
           }));

@@ -33,8 +33,8 @@
 #include <thread>
 #include <vector>
 
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/server.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/service.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
@@ -282,20 +282,20 @@ int run(int argc, char** argv) {
     // bench only wants the measurements, not a firehose on stderr.
     service.log().enable_stderr(false);
     service.load();
-    query::HttpServer::Options server_options;
+    net::HttpServer::Options server_options;
     server_options.threads = options.threads;
-    query::HttpServer server(server_options,
-                             [&service](const query::HttpRequest& request) {
-                               return service.handle(request);
-                             });
-    server.set_request_hook([&service](const query::HttpRequest&,
-                                       const query::HttpResponse& response,
+    net::HttpServer server(server_options,
+                           [&service](const net::HttpRequest& request) {
+                             return service.handle(request);
+                           });
+    server.set_request_hook([&service](const net::HttpRequest&,
+                                       const net::HttpResponse& response,
                                        std::chrono::nanoseconds write_duration) {
       service.on_response_written(response, write_duration);
     });
     server.start();
 
-    std::vector<query::HttpClient> clients;
+    std::vector<net::HttpClient> clients;
     clients.reserve(options.threads);
     for (unsigned t = 0; t < options.threads; ++t) {
       clients.emplace_back("127.0.0.1", server.port());

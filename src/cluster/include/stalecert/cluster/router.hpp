@@ -10,9 +10,9 @@
 
 #include "stalecert/cluster/shard.hpp"
 #include "stalecert/net/fetch.hpp"
+#include "stalecert/net/http.hpp"
 #include "stalecert/obs/event_log.hpp"
 #include "stalecert/obs/metrics.hpp"
-#include "stalecert/query/http.hpp"
 #include "stalecert/util/mutex.hpp"
 
 namespace stalecert::cluster {
@@ -55,30 +55,21 @@ std::optional<std::uint64_t> extract_json_uint(std::string_view body,
 std::string merge_summary_bodies(const std::vector<std::string>& bodies,
                                  const std::vector<unsigned>& missing);
 
-/// Merges per-shard GET /v1/key/<spki> bodies: union of the certificate
-/// objects, sorted and deduplicated — replicas of one certificate render
-/// identically on every shard, so the union collapses to the single-node
-/// list byte for byte.
-std::string merge_key_bodies(const std::vector<std::string>& bodies);
-
-/// Merges per-shard GET /v1/revocation bodies: the earliest revocation
-/// wins (ties broken by the rendered body, lexicographically); with no
-/// revoked answer the first body (all "revoked":false bodies are
-/// identical) passes through.
-std::string merge_revocation_bodies(const std::vector<std::string>& bodies);
-
 // --- The router -----------------------------------------------------------
 
-/// staled-router's request handler: the scatter-gather front tier over N
-/// shard staleds. Point lookups (/v1/stale, /v1/summary?domain=) forward to
-/// the owning shard by routing-domain hash with one retry on a fresh
-/// connection, then 503. Aggregates (/v1/key, /v1/revocation, global
-/// /v1/summary) scatter to every shard under a per-shard deadline and
-/// merge; a missing shard fails key/revocation closed (503 — the missing
-/// shard may own the answer) and degrades the global summary to a
-/// partial-flagged body. /ingest is 404 here: deltas go directly to their
-/// shard's staled. /healthz, /metrics and /statusz describe the router
-/// itself, including per-shard health.
+/// staled-router's request handler: the front tier over N shard staleds.
+/// Every data lookup is a one-hop point lookup to the shard that ShardPlan
+/// makes home for its key, with one retry on a fresh connection, then 503:
+/// /v1/stale and /v1/summary?domain= by routing domain, /v1/key/<spki> by
+/// the lowercase SPKI hex, /v1/revocation?serial= by the lowercase serial
+/// hex. The plan replicates every certificate onto its SPKI's and its
+/// serial's home shard, so that shard alone renders the single-node answer,
+/// and a dead shard fails only the lookups it is home for. The global
+/// /v1/summary is the only data scatter: every shard under a per-shard
+/// deadline, merged, degraded to a partial-flagged body when a shard is
+/// missing. /ingest is 404 here: deltas go directly to their shard's
+/// staled. /healthz, /metrics and /statusz describe the router itself,
+/// including per-shard health.
 ///
 /// Health: a background probe (start()) GETs each shard's /healthz every
 /// health_interval; request-path failures also mark a shard down
@@ -99,7 +90,7 @@ class RouterService {
   void stop();
 
   /// Thread-safe request entry point (the HttpServer handler).
-  [[nodiscard]] query::HttpResponse handle(const query::HttpRequest& request);
+  [[nodiscard]] net::HttpResponse handle(const net::HttpRequest& request);
 
   [[nodiscard]] unsigned shard_count() const {
     return static_cast<unsigned>(options_.shards.size());
@@ -127,20 +118,15 @@ class RouterService {
   /// (after the fresh-connection retry — the shard is marked down).
   std::vector<std::optional<net::FetchResult>> exchange(
       const std::vector<unsigned>& shards, const std::string& target);
-  /// One GET against shard `shard` under the configured deadline.
-  std::optional<net::FetchResult> fetch(unsigned shard,
-                                        const std::string& target);
   /// Scatters `target` to every shard concurrently — one event loop
   /// issues all legs at once, each under the full deadline.
   std::vector<std::optional<net::FetchResult>> scatter(
       const std::string& target);
 
-  query::HttpResponse forward_point(unsigned shard,
-                                    const query::HttpRequest& request);
-  query::HttpResponse gather_summary();
-  query::HttpResponse gather_key(const std::string& target);
-  query::HttpResponse gather_revocation(const std::string& target);
-  query::HttpResponse statusz();
+  net::HttpResponse forward_point(unsigned shard,
+                                  const net::HttpRequest& request);
+  net::HttpResponse gather_summary();
+  net::HttpResponse statusz();
 
   void mark_shard(unsigned shard, bool healthy, const std::string& origin);
   void probe_loop();

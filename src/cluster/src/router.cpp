@@ -15,8 +15,6 @@ namespace stalecert::cluster {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using query::HttpRequest;
-using query::HttpResponse;
 
 /// Same bucket layout as staled's request histograms so the two tiers'
 /// latency quantiles are directly comparable.
@@ -26,44 +24,13 @@ std::vector<double> latency_bounds() {
 
 std::vector<double> fanout_bounds() { return {1, 2, 3, 4, 6, 8, 12, 16}; }
 
-HttpResponse shard_unavailable(unsigned shard, unsigned count) {
-  HttpResponse response{
+net::HttpResponse shard_unavailable(unsigned shard, unsigned count) {
+  net::HttpResponse response{
       503, "application/json",
       "{\"error\":\"shard " + ShardRef{shard, count}.label() +
           " unavailable after retry\"}\n"};
   response.headers["Retry-After"] = "1";
   return response;
-}
-
-/// Extracts the bracketed text of `"<key>":[...]` (exclusive of the outer
-/// brackets); nullopt when the key is absent or unterminated.
-std::optional<std::string> extract_json_array(std::string_view body,
-                                              std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":[";
-  const auto at = body.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::size_t begin = at + needle.size();
-  int depth = 1;
-  bool in_string = false;
-  for (std::size_t i = begin; i < body.size(); ++i) {
-    const char c = body[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '[' || c == '{') {
-      ++depth;
-    } else if (c == ']' || c == '}') {
-      if (--depth == 0) return std::string(body.substr(begin, i - begin));
-    }
-  }
-  return std::nullopt;
 }
 
 /// Extracts the raw text of `"<key>":{...}` (exclusive of the braces).
@@ -225,50 +192,6 @@ std::string merge_summary_bodies(const std::vector<std::string>& bodies,
   return out.str();
 }
 
-std::string merge_key_bodies(const std::vector<std::string>& bodies) {
-  std::vector<std::string> certificates;
-  for (const auto& body : bodies) {
-    const auto array = extract_json_array(body, "certificates");
-    if (!array || array->empty()) continue;
-    for (auto& element : split_json_array(*array)) {
-      certificates.push_back(std::move(element));
-    }
-  }
-  std::sort(certificates.begin(), certificates.end());
-  certificates.erase(std::unique(certificates.begin(), certificates.end()),
-                     certificates.end());
-
-  std::ostringstream out;
-  out << "{\"spki\":\""
-      << extract_json_string(bodies.front(), "spki").value_or("")
-      << "\",\"certificates\":[";
-  for (std::size_t i = 0; i < certificates.size(); ++i) {
-    if (i > 0) out << ",";
-    out << certificates[i];
-  }
-  out << "]}\n";
-  return out.str();
-}
-
-std::string merge_revocation_bodies(const std::vector<std::string>& bodies) {
-  // Cross-CA serial collisions can put two different revocations for one
-  // serial hex on two shards; single-node reports the earliest, so the
-  // merge does too (ties fall back to the rendered body for determinism).
-  const std::string* best = nullptr;
-  std::string best_date;
-  for (const auto& body : bodies) {
-    if (body.find("\"revoked\":true") == std::string::npos) continue;
-    const std::string date =
-        extract_json_string(body, "revocation_date").value_or("9999-99-99");
-    if (best == nullptr || date < best_date ||
-        (date == best_date && body < *best)) {
-      best = &body;
-      best_date = date;
-    }
-  }
-  return best != nullptr ? *best : bodies.front();
-}
-
 RouterService::RouterService(RouterOptions options)
     : options_(std::move(options)),
       plan_(static_cast<unsigned>(options_.shards.empty()
@@ -413,11 +336,6 @@ std::vector<std::optional<net::FetchResult>> RouterService::exchange(
   return results;
 }
 
-std::optional<net::FetchResult> RouterService::fetch(
-    unsigned shard, const std::string& target) {
-  return std::move(exchange({shard}, target)[0]);
-}
-
 std::vector<std::optional<net::FetchResult>> RouterService::scatter(
     const std::string& target) {
   std::vector<unsigned> all(shard_count());
@@ -425,14 +343,14 @@ std::vector<std::optional<net::FetchResult>> RouterService::scatter(
   return exchange(all, target);
 }
 
-HttpResponse RouterService::forward_point(unsigned shard,
-                                          const HttpRequest& request) {
-  const auto result = fetch(shard, request.target);
+net::HttpResponse RouterService::forward_point(
+    unsigned shard, const net::HttpRequest& request) {
+  const auto result = std::move(exchange({shard}, request.target)[0]);
   if (!result) return shard_unavailable(shard, shard_count());
   return {result->status, result->content_type, result->body};
 }
 
-HttpResponse RouterService::gather_summary() {
+net::HttpResponse RouterService::gather_summary() {
   const auto results = scatter("/v1/summary");
   std::vector<std::string> bodies;
   std::vector<unsigned> missing;
@@ -444,46 +362,17 @@ HttpResponse RouterService::gather_summary() {
     }
   }
   if (bodies.empty()) {
-    HttpResponse response{503, "application/json",
-                          "{\"error\":\"no shard answered\"}\n"};
+    net::HttpResponse response{503, "application/json",
+                               "{\"error\":\"no shard answered\"}\n"};
     response.headers["Retry-After"] = "1";
     return response;
   }
   return {200, "application/json", merge_summary_bodies(bodies, missing)};
 }
 
-HttpResponse RouterService::gather_key(const std::string& target) {
-  const auto results = scatter(target);
-  std::vector<std::string> bodies;
-  for (unsigned k = 0; k < shard_count(); ++k) {
-    // Fail closed: the certificate set is a union, and ANY missing shard
-    // may hold members the others do not.
-    if (!results[k]) return shard_unavailable(k, shard_count());
-    bodies.push_back(results[k]->body);
-    if (results[k]->status != 200) {
-      return {results[k]->status, results[k]->content_type, results[k]->body};
-    }
-  }
-  return {200, "application/json", merge_key_bodies(bodies)};
-}
-
-HttpResponse RouterService::gather_revocation(const std::string& target) {
-  const auto results = scatter(target);
-  std::vector<std::string> bodies;
-  for (unsigned k = 0; k < shard_count(); ++k) {
-    // Fail closed: a missing shard may hold the (earliest) revocation.
-    if (!results[k]) return shard_unavailable(k, shard_count());
-    bodies.push_back(results[k]->body);
-    if (results[k]->status != 200) {
-      return {results[k]->status, results[k]->content_type, results[k]->body};
-    }
-  }
-  return {200, "application/json", merge_revocation_bodies(bodies)};
-}
-
-HttpResponse RouterService::statusz() {
+net::HttpResponse RouterService::statusz() {
   std::ostringstream out;
-  out << "{\"build\":\"" << query::json_escape(options_.build_info)
+  out << "{\"build\":\"" << net::json_escape(options_.build_info)
       << "\",\"uptime_seconds\":"
       << std::chrono::duration<double>(Clock::now() - started_).count()
       << ",\"shard_count\":" << shard_count() << ",\"shards\":[";
@@ -492,7 +381,7 @@ HttpResponse RouterService::statusz() {
     if (k > 0) out << ",";
     const auto& endpoint = options_.shards[k];
     out << "{\"index\":" << k << ",\"endpoint\":\""
-        << query::json_escape(endpoint.host + ":" +
+        << net::json_escape(endpoint.host + ":" +
                               std::to_string(endpoint.port))
         << "\"";
     if (results[k] && results[k]->status == 200) {
@@ -530,12 +419,12 @@ void RouterService::observe_request(const char* endpoint, int status,
   }
 }
 
-HttpResponse RouterService::handle(const HttpRequest& request) {
+net::HttpResponse RouterService::handle(const net::HttpRequest& request) {
   const auto start = Clock::now();
   const std::string& path = request.path;
   const char* endpoint = "other";
   unsigned fanout = 0;
-  HttpResponse response;
+  net::HttpResponse response;
 
   if (path == "/ingest") {
     endpoint = "ingest";
@@ -588,18 +477,19 @@ HttpResponse RouterService::handle(const HttpRequest& request) {
     }
   } else if (util::starts_with(path, "/v1/key/")) {
     endpoint = "key";
-    fanout = shard_count();
-    response = gather_key(request.target);
+    fanout = 1;
+    const std::string spki = path.substr(std::string("/v1/key/").size());
+    response =
+        forward_point(plan_.shard_for_key(util::to_lower(spki)), request);
   } else if (path == "/v1/revocation") {
     endpoint = "revocation";
+    fanout = 1;
     const auto serial = request.param("serial");
-    if (serial && !serial->empty()) {
-      fanout = shard_count();
-      response = gather_revocation(request.target);
-    } else {
-      fanout = 1;
-      response = forward_point(0, request);
-    }
+    // Without a serial any shard reproduces the single-node 400.
+    const unsigned shard = serial && !serial->empty()
+                               ? plan_.shard_for_key(util::to_lower(*serial))
+                               : 0;
+    response = forward_point(shard, request);
   } else {
     response = {404, "application/json", "{\"error\":\"no such endpoint\"}\n"};
   }

@@ -9,12 +9,12 @@
 #include <optional>
 #include <string>
 
+#include "stalecert/net/http.hpp"
 #include "stalecert/obs/event_log.hpp"
 #include "stalecert/obs/metrics.hpp"
 #include "stalecert/obs/quantile.hpp"
 #include "stalecert/obs/request_trace.hpp"
 #include "stalecert/obs/window.hpp"
-#include "stalecert/query/http.hpp"
 #include "stalecert/query/index.hpp"
 #include "stalecert/util/mutex.hpp"
 
@@ -153,7 +153,7 @@ class StaledService {
                const std::string& source);
 
   /// Thread-safe request entry point (the HttpServer handler).
-  [[nodiscard]] HttpResponse handle(const HttpRequest& request);
+  [[nodiscard]] net::HttpResponse handle(const net::HttpRequest& request);
 
   /// Enables feed mode: installs the delta-apply backend and registers the
   /// ingest metrics. Call before start of serving; POST /ingest answers
@@ -178,7 +178,7 @@ class StaledService {
   /// request's retained trace. Wire as
   ///   server.set_request_hook([&](const auto&, const auto& resp, auto d) {
   ///     service.on_response_written(resp, d); });
-  void on_response_written(const HttpResponse& response,
+  void on_response_written(const net::HttpResponse& response,
                            std::chrono::nanoseconds write_duration);
 
   [[nodiscard]] std::shared_ptr<const StalenessIndex> snapshot() const {
@@ -210,27 +210,29 @@ class StaledService {
     obs::WindowedHistogram latency;
   };
 
-  HttpResponse dispatch(const HttpRequest& request, std::string* endpoint,
-                        const std::shared_ptr<const StalenessIndex>& index,
-                        obs::RequestTrace* trace);
-  HttpResponse handle_stale(const HttpRequest& request,
-                            const StalenessIndex& index,
-                            obs::RequestTrace* trace) const;
-  HttpResponse handle_key(const std::string& spki_hex,
-                          const StalenessIndex& index,
-                          obs::RequestTrace* trace) const;
-  HttpResponse handle_summary(const HttpRequest& request,
-                              const StalenessIndex& index,
-                              obs::RequestTrace* trace);
-  HttpResponse handle_revocation(const HttpRequest& request,
+  net::HttpResponse dispatch(
+      const net::HttpRequest& request, std::string* endpoint,
+      const std::shared_ptr<const StalenessIndex>& index,
+      obs::RequestTrace* trace);
+  net::HttpResponse handle_stale(const net::HttpRequest& request,
                                  const StalenessIndex& index,
                                  obs::RequestTrace* trace) const;
-  HttpResponse handle_metrics(obs::RequestTrace* trace);
-  HttpResponse handle_statusz(const HttpRequest& request,
-                              const std::shared_ptr<const StalenessIndex>& index,
-                              obs::RequestTrace* trace);
-  HttpResponse handle_ingest(const HttpRequest& request,
-                             obs::RequestTrace* trace);
+  net::HttpResponse handle_key(const std::string& spki_hex,
+                               const StalenessIndex& index,
+                               obs::RequestTrace* trace) const;
+  net::HttpResponse handle_summary(const net::HttpRequest& request,
+                                   const StalenessIndex& index,
+                                   obs::RequestTrace* trace);
+  net::HttpResponse handle_revocation(const net::HttpRequest& request,
+                                      const StalenessIndex& index,
+                                      obs::RequestTrace* trace) const;
+  net::HttpResponse handle_metrics(obs::RequestTrace* trace);
+  net::HttpResponse handle_statusz(
+      const net::HttpRequest& request,
+      const std::shared_ptr<const StalenessIndex>& index,
+      obs::RequestTrace* trace);
+  net::HttpResponse handle_ingest(const net::HttpRequest& request,
+                                  obs::RequestTrace* trace);
 
   /// The serialized section of an ingest: runs the handler and publishes
   /// the successor snapshot. Must not throw — the try_ingest path releases
@@ -247,7 +249,8 @@ class StaledService {
   void export_window_gauges();
   [[nodiscard]] std::string statusz_json(
       const std::shared_ptr<const StalenessIndex>& index);
-  void finish_request(const HttpRequest& request, HttpResponse* response,
+  void finish_request(const net::HttpRequest& request,
+                      net::HttpResponse* response,
                       obs::RequestTrace trace, const std::string& endpoint,
                       std::chrono::nanoseconds elapsed);
 

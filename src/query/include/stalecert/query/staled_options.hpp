@@ -4,15 +4,15 @@
 #include <string>
 #include <vector>
 
+#include "stalecert/net/server.hpp"
 #include "stalecert/obs/event_log.hpp"
-#include "stalecert/query/server.hpp"
 
 namespace stalecert::query {
 
 /// Parsed staled command line. Split out of the daemon so flag handling is
 /// unit-testable without spawning a process.
 struct StaledOptions {
-  HttpServer::Options server;
+  net::HttpServer::Options server;
   std::string archive_path;
   /// --log-file PATH: mirror events as JSONL here (stderr stays on).
   std::string log_file;

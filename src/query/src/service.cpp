@@ -48,27 +48,27 @@ std::string micros_fixed(std::chrono::nanoseconds d) {
   return buf;
 }
 
-HttpResponse bad_request(const std::string& detail) {
+net::HttpResponse bad_request(const std::string& detail) {
   return {400, "application/json",
-          "{\"error\":\"" + json_escape(detail) + "\"}\n"};
+          "{\"error\":\"" + net::json_escape(detail) + "\"}\n"};
 }
 
 void append_record_json(std::ostringstream& out, const StalenessIndex& index,
                         std::uint32_t record_index) {
   const StaleRecord& record = index.record(record_index);
   const auto& cert = index.corpus().at(record.cert_index);
-  out << "{\"class\":\"" << json_escape(core::to_string(record.cls))
+  out << "{\"class\":\"" << net::json_escape(core::to_string(record.cls))
       << "\",\"event_date\":" << date_json(record.event_date)
       << ",\"staleness_begin\":" << date_json(record.staleness.begin())
       << ",\"staleness_end\":" << date_json(record.staleness.end())
       << ",\"staleness_days\":" << record.staleness.days()
-      << ",\"trigger_domain\":\"" << json_escape(record.trigger_domain)
-      << "\",\"serial\":\"" << json_escape(cert.serial_hex())
-      << "\",\"spki\":\"" << json_escape(cert.subject_key().fingerprint_hex())
-      << "\"";
+      << ",\"trigger_domain\":\"" << net::json_escape(record.trigger_domain)
+      << "\",\"serial\":\"" << net::json_escape(cert.serial_hex())
+      << "\",\"spki\":\""
+      << net::json_escape(cert.subject_key().fingerprint_hex()) << "\"";
   if (record.reason) {
-    out << ",\"reason\":\"" << json_escape(revocation::to_string(*record.reason))
-        << "\"";
+    out << ",\"reason\":\""
+        << net::json_escape(revocation::to_string(*record.reason)) << "\"";
   }
   out << "}";
 }
@@ -334,8 +334,8 @@ void StaledService::record_ingest(const IngestOutcome& outcome,
   }
 }
 
-HttpResponse StaledService::handle_ingest(const HttpRequest& request,
-                                          obs::RequestTrace* trace) {
+net::HttpResponse StaledService::handle_ingest(const net::HttpRequest& request,
+                                               obs::RequestTrace* trace) {
   if (!ingest_handler_) {
     return {404, "application/json",
             "{\"error\":\"feed mode disabled (start staled with "
@@ -366,29 +366,29 @@ HttpResponse StaledService::handle_ingest(const HttpRequest& request,
     // feeder can back off and retry instead of queueing requests behind a
     // rebuild; the poll loop and SIGHUP reload still use the blocking path.
     registry_.counter("stalecert_staled_ingest_busy_total", {}).inc();
-    HttpResponse busy{503, "application/json",
-                      "{\"applied\":false,\"error\":\"ingest busy: another "
-                      "delta apply is in flight\"}\n"};
+    net::HttpResponse busy{503, "application/json",
+                           "{\"applied\":false,\"error\":\"ingest busy: "
+                           "another delta apply is in flight\"}\n"};
     busy.headers["Retry-After"] = "1";
     return busy;
   }
   const IngestOutcome& outcome = *applied;
   std::ostringstream out;
   if (!outcome.ok) {
-    out << "{\"applied\":false,\"error\":\"" << json_escape(outcome.message)
-        << "\"}\n";
+    out << "{\"applied\":false,\"error\":\""
+        << net::json_escape(outcome.message) << "\"}\n";
     return {outcome.status, "application/json", out.str()};
   }
   out << "{\"applied\":true,\"generation\":" << outcome.feed_generation
       << ",\"snapshot_generation\":" << cell_.generation()
-      << ",\"horizon\":\"" << json_escape(outcome.horizon)
+      << ",\"horizon\":\"" << net::json_escape(outcome.horizon)
       << "\",\"new_certificates\":" << outcome.new_certificates
       << ",\"new_stale_records\":" << outcome.new_stale_records
       << ",\"rebuilt\":" << (outcome.rebuilt ? "true" : "false") << "}\n";
   return {200, "application/json", out.str()};
 }
 
-HttpResponse StaledService::handle(const HttpRequest& request) {
+net::HttpResponse StaledService::handle(const net::HttpRequest& request) {
   const auto start = Clock::now();
   obs::RequestTrace trace;
   trace.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -399,7 +399,7 @@ HttpResponse StaledService::handle(const HttpRequest& request) {
 
   std::string endpoint = "other";
   const auto index = cell_.get();
-  HttpResponse response = dispatch(request, &endpoint, index, &trace);
+  net::HttpResponse response = dispatch(request, &endpoint, index, &trace);
   response.trace_id = trace.id;
 
   finish_request(request, &response, std::move(trace), endpoint,
@@ -407,8 +407,8 @@ HttpResponse StaledService::handle(const HttpRequest& request) {
   return response;
 }
 
-void StaledService::finish_request(const HttpRequest& request,
-                                   HttpResponse* response,
+void StaledService::finish_request(const net::HttpRequest& request,
+                                   net::HttpResponse* response,
                                    obs::RequestTrace trace,
                                    const std::string& endpoint,
                                    std::chrono::nanoseconds elapsed) {
@@ -450,7 +450,7 @@ void StaledService::finish_request(const HttpRequest& request,
   slow_ring_.offer(std::move(trace));
 }
 
-void StaledService::on_response_written(const HttpResponse& response,
+void StaledService::on_response_written(const net::HttpResponse& response,
                                         std::chrono::nanoseconds write_duration) {
   if (response.trace_id != 0) {
     slow_ring_.add_late_span(response.trace_id, "write", write_duration);
@@ -461,8 +461,8 @@ void StaledService::on_response_written(const HttpResponse& response,
       .observe(std::chrono::duration<double>(write_duration).count());
 }
 
-HttpResponse StaledService::dispatch(
-    const HttpRequest& request, std::string* endpoint,
+net::HttpResponse StaledService::dispatch(
+    const net::HttpRequest& request, std::string* endpoint,
     const std::shared_ptr<const StalenessIndex>& index,
     obs::RequestTrace* trace) {
   const auto route_start = Clock::now();
@@ -523,9 +523,9 @@ HttpResponse StaledService::dispatch(
   return {404, "application/json", "{\"error\":\"no such endpoint\"}\n"};
 }
 
-HttpResponse StaledService::handle_stale(const HttpRequest& request,
-                                         const StalenessIndex& index,
-                                         obs::RequestTrace* trace) const {
+net::HttpResponse StaledService::handle_stale(const net::HttpRequest& request,
+                                              const StalenessIndex& index,
+                                              obs::RequestTrace* trace) const {
   const auto domain = request.param("domain");
   const auto date_text = request.param("date");
   if (!domain || domain->empty()) return bad_request("missing domain parameter");
@@ -543,7 +543,7 @@ HttpResponse StaledService::handle_stale(const HttpRequest& request,
 
   const TraceSpan serialize(trace, "serialize");
   std::ostringstream out;
-  out << "{\"domain\":\"" << json_escape(normalize_domain(*domain))
+  out << "{\"domain\":\"" << net::json_escape(normalize_domain(*domain))
       << "\",\"date\":" << date_json(date) << ",\"stale\":"
       << (matches.empty() ? "false" : "true") << ",\"matches\":[";
   for (std::size_t i = 0; i < matches.size(); ++i) {
@@ -554,9 +554,9 @@ HttpResponse StaledService::handle_stale(const HttpRequest& request,
   return {200, "application/json", out.str()};
 }
 
-HttpResponse StaledService::handle_key(const std::string& spki_hex,
-                                       const StalenessIndex& index,
-                                       obs::RequestTrace* trace) const {
+net::HttpResponse StaledService::handle_key(const std::string& spki_hex,
+                                            const StalenessIndex& index,
+                                            obs::RequestTrace* trace) const {
   if (spki_hex.empty()) return bad_request("missing SPKI fingerprint");
   const auto lookup_start = Clock::now();
   const auto certs = index.certs_for_key(spki_hex);
@@ -565,20 +565,20 @@ HttpResponse StaledService::handle_key(const std::string& spki_hex,
   const TraceSpan serialize(trace, "serialize");
   // Render each certificate to its JSON object, then sort and dedup the
   // rendered strings. This makes the payload a pure function of the
-  // certificate set: single-node and a scatter-gathered cluster (where a
-  // cert whose names straddle shards is replicated) agree byte for byte.
+  // certificate set: a single node and the key's home shard (which numbers
+  // the same certificates differently) agree byte for byte.
   std::vector<std::string> rendered;
   rendered.reserve(certs.size());
   for (const std::uint32_t cert_index : certs) {
     const auto& cert = index.corpus().at(cert_index);
     std::ostringstream item;
-    item << "{\"serial\":\"" << json_escape(cert.serial_hex())
+    item << "{\"serial\":\"" << net::json_escape(cert.serial_hex())
          << "\",\"not_before\":" << date_json(cert.not_before())
          << ",\"not_after\":" << date_json(cert.not_after()) << ",\"names\":[";
     const auto names = cert.dns_names();
     for (std::size_t j = 0; j < names.size(); ++j) {
       if (j > 0) item << ",";
-      item << "\"" << json_escape(names[j]) << "\"";
+      item << "\"" << net::json_escape(names[j]) << "\"";
     }
     item << "]}";
     rendered.push_back(item.str());
@@ -588,7 +588,7 @@ HttpResponse StaledService::handle_key(const std::string& spki_hex,
                  rendered.end());
 
   std::ostringstream out;
-  out << "{\"spki\":\"" << json_escape(util::to_lower(spki_hex))
+  out << "{\"spki\":\"" << net::json_escape(util::to_lower(spki_hex))
       << "\",\"certificates\":[";
   for (std::size_t i = 0; i < rendered.size(); ++i) {
     if (i > 0) out << ",";
@@ -598,9 +598,9 @@ HttpResponse StaledService::handle_key(const std::string& spki_hex,
   return {200, "application/json", out.str()};
 }
 
-HttpResponse StaledService::handle_summary(const HttpRequest& request,
-                                           const StalenessIndex& index,
-                                           obs::RequestTrace* trace) {
+net::HttpResponse StaledService::handle_summary(const net::HttpRequest& request,
+                                                const StalenessIndex& index,
+                                                obs::RequestTrace* trace) {
   std::ostringstream out;
   if (const auto domain = request.param("domain"); domain && !domain->empty()) {
     const auto lookup_start = Clock::now();
@@ -608,12 +608,13 @@ HttpResponse StaledService::handle_summary(const HttpRequest& request,
     trace->add_span("lookup", Clock::now() - lookup_start);
 
     const TraceSpan serialize(trace, "serialize");
-    out << "{\"domain\":\"" << json_escape(summary.domain)
+    out << "{\"domain\":\"" << net::json_escape(summary.domain)
         << "\",\"certificates\":" << summary.certificates
         << ",\"stale_total\":" << summary.stale_total() << ",\"by_class\":{";
     for (std::size_t i = 0; i < core::kAllStaleClasses.size(); ++i) {
       if (i > 0) out << ",";
-      out << "\"" << json_escape(core::to_string(core::kAllStaleClasses[i]))
+      out << "\""
+          << net::json_escape(core::to_string(core::kAllStaleClasses[i]))
           << "\":" << summary.stale_by_class[i];
     }
     out << "}";
@@ -636,7 +637,7 @@ HttpResponse StaledService::handle_summary(const HttpRequest& request,
   // merged cluster summaries can be byte-compared against single-node.
   const auto& stats = index.sharded() ? index.owned_stats() : index.stats();
   const auto& meta = index.meta();
-  out << "{\"profile\":\"" << json_escape(meta.profile)
+  out << "{\"profile\":\"" << net::json_escape(meta.profile)
       << "\",\"seed\":" << meta.seed << ",\"window\":{\"start\":"
       << date_json(meta.start) << ",\"end\":" << date_json(meta.end)
       << "},\"generation\":" << cell_.generation()
@@ -644,7 +645,7 @@ HttpResponse StaledService::handle_summary(const HttpRequest& request,
       << ",\"stale_records\":" << stats.stale_records << ",\"by_class\":{";
   for (std::size_t i = 0; i < core::kAllStaleClasses.size(); ++i) {
     if (i > 0) out << ",";
-    out << "\"" << json_escape(core::to_string(core::kAllStaleClasses[i]))
+    out << "\"" << net::json_escape(core::to_string(core::kAllStaleClasses[i]))
         << "\":" << stats.by_class[i];
   }
   out << "},\"distinct_keys\":" << stats.distinct_keys
@@ -652,9 +653,9 @@ HttpResponse StaledService::handle_summary(const HttpRequest& request,
   return {200, "application/json", out.str()};
 }
 
-HttpResponse StaledService::handle_revocation(const HttpRequest& request,
-                                              const StalenessIndex& index,
-                                              obs::RequestTrace* trace) const {
+net::HttpResponse StaledService::handle_revocation(
+    const net::HttpRequest& request, const StalenessIndex& index,
+    obs::RequestTrace* trace) const {
   const auto serial = request.param("serial");
   if (!serial || serial->empty()) return bad_request("missing serial parameter");
   const auto lookup_start = Clock::now();
@@ -663,11 +664,11 @@ HttpResponse StaledService::handle_revocation(const HttpRequest& request,
 
   const TraceSpan serialize(trace, "serialize");
   std::ostringstream out;
-  out << "{\"serial\":\"" << json_escape(util::to_lower(*serial)) << "\"";
+  out << "{\"serial\":\"" << net::json_escape(util::to_lower(*serial)) << "\"";
   if (status) {
     out << ",\"revoked\":true,\"revocation_date\":"
         << date_json(status->revocation_date) << ",\"reason\":\""
-        << json_escape(revocation::to_string(status->reason))
+        << net::json_escape(revocation::to_string(status->reason))
         << "\",\"key_compromise\":"
         << (status->key_compromise() ? "true" : "false");
   } else {
@@ -677,7 +678,7 @@ HttpResponse StaledService::handle_revocation(const HttpRequest& request,
   return {200, "application/json", out.str()};
 }
 
-HttpResponse StaledService::handle_metrics(obs::RequestTrace* trace) {
+net::HttpResponse StaledService::handle_metrics(obs::RequestTrace* trace) {
   const TraceSpan serialize(trace, "serialize");
   export_window_gauges();
   return {200, "text/plain; version=0.0.4",
@@ -734,7 +735,7 @@ std::string StaledService::statusz_json(
   const double uptime = std::chrono::duration<double>(now - started_).count();
 
   std::ostringstream out;
-  out << "{\"build\":\"" << json_escape(options_.build_info)
+  out << "{\"build\":\"" << net::json_escape(options_.build_info)
       << "\",\"uptime_seconds\":" << format_double(uptime);
 
   if (options_.shard_count > 0) {
@@ -744,7 +745,7 @@ std::string StaledService::statusz_json(
 
   out << ",\"snapshot\":{\"loaded\":" << (index != nullptr ? "true" : "false")
       << ",\"generation\":" << cell_.generation() << ",\"archive\":\""
-      << json_escape(archive_path_) << "\"";
+      << net::json_escape(archive_path_) << "\"";
   const std::int64_t load_offset =
       last_load_offset_ns_.load(std::memory_order_relaxed);
   if (load_offset >= 0) {
@@ -764,7 +765,7 @@ std::string StaledService::statusz_json(
   out << ",\"feed\":{\"enabled\":" << (feed_enabled() ? "true" : "false");
   if (feed_enabled()) {
     if (!options_.feed_dir.empty()) {
-      out << ",\"dir\":\"" << json_escape(options_.feed_dir) << "\"";
+      out << ",\"dir\":\"" << net::json_escape(options_.feed_dir) << "\"";
     }
     out << ",\"generation\":" << feed_generation_.load(std::memory_order_relaxed)
         << ",\"deltas_applied\":"
@@ -857,8 +858,8 @@ std::string StaledService::statusz_json(
   return out.str();
 }
 
-HttpResponse StaledService::handle_statusz(
-    const HttpRequest& request,
+net::HttpResponse StaledService::handle_statusz(
+    const net::HttpRequest& request,
     const std::shared_ptr<const StalenessIndex>& index,
     obs::RequestTrace* trace) {
   const TraceSpan serialize(trace, "serialize");
@@ -871,7 +872,7 @@ HttpResponse StaledService::handle_statusz(
   std::ostringstream out;
   out << "<!DOCTYPE html><html><head><title>staled /statusz</title></head>"
          "<body><h1>staled</h1><p>"
-      << json_escape(options_.build_info) << " &middot; uptime "
+      << net::json_escape(options_.build_info) << " &middot; uptime "
       << format_double(std::chrono::duration<double>(now - started_).count())
       << "s &middot; snapshot generation " << cell_.generation() << "</p>"
       << "<h2>windows (last 1m)</h2><pre>";
@@ -887,11 +888,11 @@ HttpResponse StaledService::handle_statusz(
   }
   out << "</pre><h2>slowest recent requests</h2><pre>";
   for (const auto& slow_trace : slow_ring_.snapshot()) {
-    out << json_escape(obs::to_json(slow_trace)) << "\n";
+    out << net::json_escape(obs::to_json(slow_trace)) << "\n";
   }
   out << "</pre><h2>recent events</h2><pre>";
   for (const auto& event : log_.tail(32)) {
-    out << json_escape(obs::to_human(event)) << "\n";
+    out << net::json_escape(obs::to_human(event)) << "\n";
   }
   out << "</pre></body></html>\n";
   return {200, "text/html; charset=utf-8", out.str()};

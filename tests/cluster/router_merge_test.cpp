@@ -1,9 +1,8 @@
 // The router's pure merge helpers, pinned against hand-written shard
-// bodies in the exact shapes StaledService renders (see handle_summary /
-// handle_key / handle_revocation in src/query/src/service.cpp). The
-// live-socket equivalence of merged vs. single-node bodies is
-// cluster_differential_test.cpp; this file covers the corner cases a
-// healthy cluster never produces.
+// bodies in the exact shapes StaledService renders (see handle_summary in
+// src/query/src/service.cpp). The live-socket equivalence of merged vs.
+// single-node bodies is cluster_differential_test.cpp; this file covers
+// the corner cases a healthy cluster never produces.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -88,64 +87,6 @@ TEST(MergeSummaryTest, MissingShardsAppendPartialFlag) {
   // A complete gather never mentions partiality.
   EXPECT_EQ(merge_summary_bodies(bodies, {}).find("partial"),
             std::string::npos);
-}
-
-TEST(MergeKeyTest, UnionsSortsAndDeduplicatesCertificates) {
-  // The certificate objects are pre-rendered JSON; replicas of one
-  // certificate render identically on every shard, so dedup by string
-  // equality reproduces the single-node list.
-  const std::string spki = "ab12";
-  const std::vector<std::string> bodies = {
-      "{\"spki\":\"" + spki +
-          "\",\"certificates\":[{\"index\":2,\"serial\":\"0b\"},"
-          "{\"index\":5,\"serial\":\"0e\"}]}\n",
-      "{\"spki\":\"" + spki +
-          "\",\"certificates\":[{\"index\":2,\"serial\":\"0b\"},"
-          "{\"index\":1,\"serial\":\"0a\"}]}\n",
-  };
-  EXPECT_EQ(merge_key_bodies(bodies),
-            "{\"spki\":\"ab12\",\"certificates\":["
-            "{\"index\":1,\"serial\":\"0a\"},"
-            "{\"index\":2,\"serial\":\"0b\"},"
-            "{\"index\":5,\"serial\":\"0e\"}]}\n");
-}
-
-TEST(MergeKeyTest, AllShardsEmptyYieldsEmptyList) {
-  const std::vector<std::string> bodies = {
-      "{\"spki\":\"ab12\",\"certificates\":[]}\n",
-      "{\"spki\":\"ab12\",\"certificates\":[]}\n",
-  };
-  EXPECT_EQ(merge_key_bodies(bodies),
-            "{\"spki\":\"ab12\",\"certificates\":[]}\n");
-}
-
-TEST(MergeRevocationTest, EarliestRevocationWins) {
-  const std::string miss = "{\"serial\":\"0abc\",\"revoked\":false}\n";
-  const std::string late =
-      "{\"serial\":\"0abc\",\"revoked\":true,\"revocation_date\":"
-      "\"2024-05-01\",\"reason\":\"superseded\",\"key_compromise\":false}\n";
-  const std::string early =
-      "{\"serial\":\"0abc\",\"revoked\":true,\"revocation_date\":"
-      "\"2024-02-09\",\"reason\":\"key_compromise\",\"key_compromise\":true}\n";
-  EXPECT_EQ(merge_revocation_bodies({miss, late, early}), early);
-  EXPECT_EQ(merge_revocation_bodies({early, late}), early);
-}
-
-TEST(MergeRevocationTest, DateTieBreaksOnBodyText) {
-  const std::string a =
-      "{\"serial\":\"0abc\",\"revoked\":true,\"revocation_date\":"
-      "\"2024-02-09\",\"reason\":\"key_compromise\",\"key_compromise\":true}\n";
-  const std::string b =
-      "{\"serial\":\"0abc\",\"revoked\":true,\"revocation_date\":"
-      "\"2024-02-09\",\"reason\":\"superseded\",\"key_compromise\":false}\n";
-  const std::string smaller = a < b ? a : b;
-  EXPECT_EQ(merge_revocation_bodies({a, b}), smaller);
-  EXPECT_EQ(merge_revocation_bodies({b, a}), smaller);
-}
-
-TEST(MergeRevocationTest, AllMissesPassThroughFirstBody) {
-  const std::string miss = "{\"serial\":\"0abc\",\"revoked\":false}\n";
-  EXPECT_EQ(merge_revocation_bodies({miss, miss, miss}), miss);
 }
 
 }  // namespace

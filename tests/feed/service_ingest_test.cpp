@@ -14,8 +14,8 @@
 
 #include "stalecert/feed/extend.hpp"
 #include "stalecert/feed/runtime.hpp"
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/server.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/service.hpp"
 #include "stalecert/sim/world.hpp"
 #include "stalecert/store/archive.hpp"
@@ -62,13 +62,13 @@ class FeedServiceTest : public ::testing::Test {
     service_->set_ingest_handler(runtime_->handler());
     service_->publish(runtime_->index(), "test base");
 
-    query::HttpServer::Options options;
+    net::HttpServer::Options options;
     options.port = 0;
-    server_ = std::make_unique<query::HttpServer>(
+    server_ = std::make_unique<net::HttpServer>(
         options,
-        [this](const query::HttpRequest& r) { return service_->handle(r); });
+        [this](const net::HttpRequest& r) { return service_->handle(r); });
     server_->start();
-    client_ = std::make_unique<query::HttpClient>("127.0.0.1", server_->port());
+    client_ = std::make_unique<net::HttpClient>("127.0.0.1", server_->port());
   }
 
   void TearDown() override {
@@ -78,8 +78,8 @@ class FeedServiceTest : public ::testing::Test {
 
   std::unique_ptr<query::StaledService> service_;
   std::unique_ptr<FeedRuntime> runtime_;
-  std::unique_ptr<query::HttpServer> server_;
-  std::unique_ptr<query::HttpClient> client_;
+  std::unique_ptr<net::HttpServer> server_;
+  std::unique_ptr<net::HttpClient> client_;
 };
 
 TEST_F(FeedServiceTest, IngestAppliesDeltaAndBumpsGeneration) {
@@ -165,7 +165,7 @@ TEST_F(FeedServiceTest, DeltaLargerThanTheHeadBoundIsAccepted) {
   ASSERT_EQ(deltas.size(), 1u);
   const auto bytes = write_delta_bytes(deltas.front());
   const std::string body(bytes.begin(), bytes.end());
-  ASSERT_GT(body.size(), query::HttpServer::Options{}.max_request_bytes);
+  ASSERT_GT(body.size(), net::HttpServer::Options{}.max_request_bytes);
 
   const auto applied = client_->post("/ingest", body);
   ASSERT_EQ(applied.status, 200) << applied.body;
@@ -177,7 +177,7 @@ TEST(FeedServiceNoHandlerTest, IngestWithoutFeedModeIs404) {
   query::StaledService service(feed_world().base_path);
   service.log().set_level(obs::LogLevel::kError);
   service.load();
-  query::HttpRequest request;
+  net::HttpRequest request;
   request.method = "POST";
   request.version = "HTTP/1.1";
   request.path = "/ingest";
@@ -205,7 +205,7 @@ TEST(FeedConcurrencyTest, IngestWhileServing) {
           "/v1/summary", "/statusz", "/metrics", "/healthz"};
       std::size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        query::HttpRequest request;
+        net::HttpRequest request;
         request.method = "GET";
         request.version = "HTTP/1.1";
         request.path = targets[i++ % targets.size()];
@@ -259,7 +259,7 @@ TEST(FeedConcurrencyTest, IngestWhileBusyAnswers503WithRetryAfter) {
     return outcome;
   });
 
-  query::HttpRequest post;
+  net::HttpRequest post;
   post.method = "POST";
   post.version = "HTTP/1.1";
   post.path = "/ingest";

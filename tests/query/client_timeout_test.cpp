@@ -1,7 +1,7 @@
 // HttpClient deadline semantics: a server that accepts but never answers
-// raises QueryTimeoutError (exit 4 territory for stalecert_query, "mark
+// raises NetTimeoutError (exit 4 territory for stalecert_query, "mark
 // the shard slow" for the router), while a closed port raises plain
-// QueryError ("down"). The distinction is load-bearing — see the exception
+// NetError ("down"). The distinction is load-bearing — see the exception
 // hierarchy note in http.hpp.
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/http.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/http.hpp"
 
 namespace stalecert::query {
 namespace {
@@ -46,16 +46,16 @@ class SilentServer {
 
 TEST(HttpClientTimeoutTest, SilentServerRaisesTimeoutNotPlainError) {
   SilentServer server;
-  HttpClient client("127.0.0.1", server.port(),
-                    std::chrono::milliseconds(100));
-  EXPECT_THROW(client.get("/healthz"), QueryTimeoutError);
+  net::HttpClient client("127.0.0.1", server.port(),
+                         std::chrono::milliseconds(100));
+  EXPECT_THROW(client.get("/healthz"), net::NetTimeoutError);
 }
 
 TEST(HttpClientTimeoutTest, ZeroTimeoutKeepsConnectWorking) {
   // Timeout 0 = block indefinitely; the connection itself must still work
   // against a live listener (no spurious deadline on the connect path).
   SilentServer server;
-  HttpClient client("127.0.0.1", server.port());
+  net::HttpClient client("127.0.0.1", server.port());
   // No request issued: a hang here would be forever. Construction
   // succeeding is the assertion.
   SUCCEED();
@@ -63,18 +63,18 @@ TEST(HttpClientTimeoutTest, ZeroTimeoutKeepsConnectWorking) {
 
 TEST(HttpClientTimeoutTest, RefusedConnectionRaisesPlainQueryError) {
   // Grab an ephemeral port, then close the listener: connecting to it now
-  // refuses. That must surface as QueryError, never QueryTimeoutError.
+  // refuses. That must surface as NetError, never NetTimeoutError.
   std::uint16_t port = 0;
   {
     SilentServer doomed;
     port = doomed.port();
   }
   try {
-    HttpClient client("127.0.0.1", port, std::chrono::milliseconds(100));
+    net::HttpClient client("127.0.0.1", port, std::chrono::milliseconds(100));
     FAIL() << "connect to closed port " << port << " unexpectedly succeeded";
-  } catch (const QueryTimeoutError&) {
+  } catch (const net::NetTimeoutError&) {
     FAIL() << "refused connection must not be reported as a timeout";
-  } catch (const QueryError&) {
+  } catch (const net::NetError&) {
     SUCCEED();
   }
 }

@@ -85,14 +85,14 @@ TEST(HotSwapTest, ServiceReloadRacesInFlightRequests) {
   std::vector<std::thread> clients;
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&service, &stop, t] {
-      HttpRequest request;
+      net::HttpRequest request;
       request.method = "GET";
       request.version = "HTTP/1.1";
       // Mix of endpoints so both index lookups and metrics run during the
       // swap.
       request.path = (t % 2 == 0) ? "/v1/summary" : "/healthz";
       while (!stop.load(std::memory_order_relaxed)) {
-        const HttpResponse response = service.handle(request);
+        const net::HttpResponse response = service.handle(request);
         ASSERT_EQ(response.status, 200);
       }
     });
@@ -131,7 +131,7 @@ TEST(HotSwapTest, FailedReloadKeepsThePreviousSnapshotServing) {
   EXPECT_EQ(service.generation(), 1u);
 
   // The old snapshot still answers.
-  HttpRequest request;
+  net::HttpRequest request;
   request.method = "GET";
   request.version = "HTTP/1.1";
   request.path = "/healthz";

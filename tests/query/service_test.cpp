@@ -6,8 +6,8 @@
 #include <memory>
 #include <string>
 
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/server.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/service.hpp"
 
 #ifndef STALECERT_QUERY_TEST_DATA_DIR
@@ -20,9 +20,9 @@ namespace {
 const std::string kGoldenPath =
     std::string(STALECERT_QUERY_TEST_DATA_DIR) + "/golden_small.scw";
 
-HttpRequest make_request(const std::string& path,
-                         std::map<std::string, std::string> query = {}) {
-  HttpRequest request;
+net::HttpRequest make_request(const std::string& path,
+                              std::map<std::string, std::string> query = {}) {
+  net::HttpRequest request;
   request.method = "GET";
   request.version = "HTTP/1.1";
   request.path = path;
@@ -158,15 +158,15 @@ TEST_F(ServiceTest, UnknownPathsAre404AndCounted) {
 TEST(HttpServerTest, ServesOverARealSocketWithKeepAlive) {
   StaledService service(kGoldenPath);
   service.load();
-  HttpServer::Options options;
+  net::HttpServer::Options options;
   options.threads = 2;
-  HttpServer server(options, [&service](const HttpRequest& request) {
+  net::HttpServer server(options, [&service](const net::HttpRequest& request) {
     return service.handle(request);
   });
   server.start();
   ASSERT_NE(server.port(), 0);
 
-  HttpClient client("127.0.0.1", server.port());
+  net::HttpClient client("127.0.0.1", server.port());
   // Several requests over the same keep-alive connection.
   const auto health = client.get("/healthz");
   EXPECT_EQ(health.status, 200);
@@ -189,15 +189,15 @@ TEST(HttpServerTest, ServesOverARealSocketWithKeepAlive) {
 TEST(HttpServerTest, RejectsNonGetMethodsAndOversizedHeads) {
   StaledService service(kGoldenPath);
   service.load();
-  HttpServer::Options options;
+  net::HttpServer::Options options;
   options.threads = 1;
   options.max_request_bytes = 512;
-  HttpServer server(options, [&service](const HttpRequest& request) {
+  net::HttpServer server(options, [&service](const net::HttpRequest& request) {
     return service.handle(request);
   });
   server.start();
 
-  HttpClient client("127.0.0.1", server.port());
+  net::HttpClient client("127.0.0.1", server.port());
   // HEAD is allowed (no body comes back).
   const auto head = client.head("/healthz");
   EXPECT_EQ(head.status, 200);

@@ -10,8 +10,8 @@
 #include <string>
 #include <thread>
 
-#include "stalecert/query/client.hpp"
-#include "stalecert/query/server.hpp"
+#include "stalecert/net/client.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/service.hpp"
 
 #ifndef STALECERT_QUERY_TEST_DATA_DIR
@@ -24,9 +24,9 @@ namespace {
 const std::string kGoldenPath =
     std::string(STALECERT_QUERY_TEST_DATA_DIR) + "/golden_small.scw";
 
-HttpRequest make_request(const std::string& path,
-                         std::map<std::string, std::string> query = {}) {
-  HttpRequest request;
+net::HttpRequest make_request(const std::string& path,
+                              std::map<std::string, std::string> query = {}) {
+  net::HttpRequest request;
   request.method = "GET";
   request.version = "HTTP/1.1";
   request.path = path;
@@ -197,14 +197,16 @@ class StatuszHttpTest : public ::testing::Test {
     service_ = std::make_unique<StaledService>(kGoldenPath);
     service_->log().enable_stderr(false);
     service_->load();
-    HttpServer::Options options;
+    net::HttpServer::Options options;
     options.port = 0;
     options.threads = 2;
-    server_ = std::make_unique<HttpServer>(
+    server_ = std::make_unique<net::HttpServer>(
         options,
-        [this](const HttpRequest& request) { return service_->handle(request); });
+        [this](const net::HttpRequest& request) {
+          return service_->handle(request);
+        });
     server_->set_request_hook(
-        [this](const HttpRequest&, const HttpResponse& response,
+        [this](const net::HttpRequest&, const net::HttpResponse& response,
                std::chrono::nanoseconds write_duration) {
           service_->on_response_written(response, write_duration);
         });
@@ -213,11 +215,11 @@ class StatuszHttpTest : public ::testing::Test {
   void TearDown() override { server_->stop(); }
 
   std::unique_ptr<StaledService> service_;
-  std::unique_ptr<HttpServer> server_;
+  std::unique_ptr<net::HttpServer> server_;
 };
 
 TEST_F(StatuszHttpTest, GetPinsContentTypes) {
-  HttpClient client("127.0.0.1", server_->port());
+  net::HttpClient client("127.0.0.1", server_->port());
   const auto metrics = client.get("/metrics");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_EQ(metrics.content_type, "text/plain; version=0.0.4");
@@ -234,7 +236,7 @@ TEST_F(StatuszHttpTest, GetPinsContentTypes) {
 }
 
 TEST_F(StatuszHttpTest, HeadReturnsHeadersWithoutBody) {
-  HttpClient client("127.0.0.1", server_->port());
+  net::HttpClient client("127.0.0.1", server_->port());
   for (const std::string target : {"/metrics", "/statusz"}) {
     const auto head = client.head(target);
     EXPECT_EQ(head.status, 200) << target;
@@ -249,7 +251,7 @@ TEST_F(StatuszHttpTest, HeadReturnsHeadersWithoutBody) {
 TEST_F(StatuszHttpTest, WriteSpanAttributedToRetainedTraces) {
   // End-to-end: drive enough traffic that the ring retains something, then
   // check the retained trace picked up the server's post-write span.
-  HttpClient client("127.0.0.1", server_->port());
+  net::HttpClient client("127.0.0.1", server_->port());
   for (int i = 0; i < 50; ++i) (void)client.get("/v1/summary");
   // The hook runs after the response is on the wire; give workers a beat.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));

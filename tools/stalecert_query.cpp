@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "stalecert/query/client.hpp"
+#include "stalecert/net/client.hpp"
 
 using namespace stalecert;
 
@@ -150,15 +150,15 @@ int main(int argc, char** argv) {
   }
 
   try {
-    query::HttpClient client(host, port, timeout);
+    net::HttpClient client(host, port, timeout);
     const auto result =
         is_post ? client.post(target, post_body, "application/octet-stream")
                 : client.get(target);
     std::cerr << "HTTP " << result.status << " " << target << '\n';
     std::cout << result.body;
     return result.status == 200 ? 0 : 1;
-  } catch (const query::QueryTimeoutError& e) {
-    // Before stalecert::Error: a timeout IS a QueryError, but scripts need
+  } catch (const net::NetTimeoutError& e) {
+    // Before stalecert::Error: a timeout IS a NetError, but scripts need
     // to tell "slow" (4, retry later) from "gone" (3, page someone).
     std::cerr << "stalecert_query: " << e.what() << '\n';
     return 4;

@@ -46,8 +46,8 @@
 
 #include "stalecert/cluster/shard.hpp"
 #include "stalecert/feed/runtime.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/query/index.hpp"
-#include "stalecert/query/server.hpp"
 #include "stalecert/query/service.hpp"
 #include "stalecert/query/staled_options.hpp"
 #include "stalecert/store/errors.hpp"
@@ -131,12 +131,12 @@ int run(int argc, char** argv) {
     service.load();
   }
 
-  query::HttpServer server(options.server,
-                           [&service](const query::HttpRequest& r) {
-                             return service.handle(r);
-                           });
-  server.set_request_hook([&service](const query::HttpRequest&,
-                                     const query::HttpResponse& response,
+  net::HttpServer server(options.server,
+                         [&service](const net::HttpRequest& r) {
+                           return service.handle(r);
+                         });
+  server.set_request_hook([&service](const net::HttpRequest&,
+                                     const net::HttpResponse& response,
                                      std::chrono::nanoseconds write_duration) {
     service.on_response_written(response, write_duration);
   });

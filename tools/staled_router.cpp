@@ -1,7 +1,7 @@
-// staled-router: the scatter-gather front tier over N shard staleds
+// staled-router: the front tier over N shard staleds
 // (src/cluster/README.md). Clients talk to the router exactly as they
-// would to a single-node staled; the router forwards point lookups to the
-// owning shard and merges aggregate answers from every shard:
+// would to a single-node staled; the router forwards each lookup to its
+// home shard and merges the global summary from every shard:
 //
 //   $ ./staled_router [--port N] [--bind ADDR] [--threads N]
 //                     --shard-endpoint HOST:PORT [--shard-endpoint ...]
@@ -12,10 +12,11 @@
 // --shard-endpoint order matters: the k-th flag must name the staled
 // serving shard k/N (started with --shard k/N over shard-k-of-N.scw).
 //
-// /v1/stale and /v1/summary?domain= forward to the owning shard (one retry
-// on a fresh connection, then 503). /v1/key, /v1/revocation and the global
-// /v1/summary scatter to every shard under --timeout-ms and merge;
-// key/revocation fail closed on a missing shard, the global summary
+// /v1/stale and /v1/summary?domain= forward to the domain's home shard,
+// /v1/key/<spki> and /v1/revocation?serial= to the key's or serial's home
+// shard (one retry on a fresh connection, then 503), so a dead shard fails
+// only the lookups it is home for. The global /v1/summary scatters to
+// every shard under --timeout-ms and merges; with a shard missing it
 // degrades to a "partial":true body. /metrics, /statusz and /healthz
 // describe the router itself (per-shard health, latency, fan-out); POST
 // /ingest is 404 here — deltas go directly to the owning shard's staled.
@@ -31,8 +32,8 @@
 #include <vector>
 
 #include "stalecert/cluster/router.hpp"
+#include "stalecert/net/server.hpp"
 #include "stalecert/obs/event_log.hpp"
-#include "stalecert/query/server.hpp"
 
 using namespace stalecert;
 
@@ -66,7 +67,7 @@ bool parse_endpoint(const std::string& text, cluster::ShardEndpoint* out) {
 }
 
 int run(int argc, char** argv) {
-  query::HttpServer::Options server_options;
+  net::HttpServer::Options server_options;
   cluster::RouterOptions router_options;
   router_options.build_info = "stalecert-staled-router/1";
   std::string log_file;
@@ -134,10 +135,10 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  query::HttpServer server(server_options,
-                           [&router](const query::HttpRequest& r) {
-                             return router.handle(r);
-                           });
+  net::HttpServer server(server_options,
+                         [&router](const net::HttpRequest& r) {
+                           return router.handle(r);
+                         });
   server.start();
   router.start();
   const unsigned workers =
